@@ -7,7 +7,7 @@ from .losses import LossConfig
 from .metrics import MetricsReport, auc_binary, evaluate
 from .model import ModelState, forward, init_params
 from .perturb import AttackConfig, attack_evaluate, drop_hyperedges, inject_feature_noise
-from .trainer import RunRecord, TrainConfig, multi_seed, split_and_mask, train
+from .trainer import RunRecord, TrainConfig, split_and_mask, train
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "init_params",
     "inject_feature_noise",
     "load_csv",
-    "multi_seed",
     "normalize",
     "split_and_mask",
     "train",

@@ -11,20 +11,11 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from . import autodiff as ad
-from . import metrics as metrics_mod
 from . import model, perturb, trainer
-from .data import (
-    Dataset,
-    SynthConfig,
-    fuse_and_build,
-    generate_synthetic,
-    load_csv,
-    normalize,
-)
+from .data import Dataset, SynthConfig, generate_synthetic, load_csv
 from .errors import HgibError
 from .losses import LossConfig
 from .trainer import TrainConfig
@@ -180,26 +171,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     dataset = _load_dataset(args, cfg.seed)
-    dataset = normalize(dataset)
     state = model.load_checkpoint(args.checkpoint)
-    fused, graph = fuse_and_build(dataset, cfg.k_neighbors)
-    _, _, test_mask = trainer.split_and_mask(
-        dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed
-    )
-    logits, _ = model.forward(fused, graph, state)
-    report = metrics_mod.evaluate(ad.row_softmax(logits), dataset.labels, test_mask)
+    prepared = trainer.prepare(dataset, cfg)
+    report = trainer.evaluate_state(prepared, state)
     _write_json(Path(args.out) / "metrics.json", _metrics_payload(report, cfg))
     print(f"macro AUC {report.auc_average:.4f}")
     return 0
 
 
-def _attack_config(args: argparse.Namespace, seed: int) -> perturb.AttackConfig:
+def _attack_config(args: argparse.Namespace, kind: str, seed: int) -> perturb.AttackConfig:
     return perturb.AttackConfig(
-        kind=args.attack,
+        kind=kind,
         drop_fraction=args.drop_fraction,
         rho=args.rho,
         seed=seed,
-        per_vertex_max=args.per_vertex_max,
+        per_vertex_max=getattr(args, "per_vertex_max", False),
     )
 
 
@@ -208,89 +194,66 @@ def cmd_attack(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args, cfg.seed)
     if args.checkpoint:
         state = model.load_checkpoint(args.checkpoint)
-        _, _, test_mask = trainer.split_and_mask(
-            normalize(dataset), cfg.train_fraction, cfg.label_fraction, cfg.seed
-        )
+        prepared = trainer.prepare(dataset, cfg)
     else:
         record = trainer.train(dataset, cfg)
-        state, test_mask = record.model_state, record.test_mask
-    attack_cfg = _attack_config(args, cfg.seed)
-    report = perturb.attack_evaluate(
-        dataset, state, attack_cfg, cfg.k_neighbors, test_mask
-    )
+        state, prepared = record.model_state, record.prepared
+    attack_cfg = _attack_config(args, args.attack, cfg.seed)
+    report = perturb.attack_evaluate(prepared, state, attack_cfg)
     payload = _metrics_payload(report, cfg, attack=attack_cfg.__dict__)
     _write_json(Path(args.out) / "metrics.json", payload)
     print(f"{attack_cfg.kind}: macro AUC {report.auc_average:.4f}")
     return 0
 
 
+_SWEEP_ERRORS = (HgibError, OSError, ValueError)
+
+
+def _seed_evaluator(args: argparse.Namespace, cfg: TrainConfig):
+    """setting -> its report for cfg.seed. The labels grid trains once per
+    fraction; the attack grid trains once here and attacks that run."""
+    dataset = _load_dataset(args, cfg.seed)
+    if args.grid == "labels":
+        return lambda fraction: trainer.train(
+            dataset, replace(cfg, label_fraction=fraction)
+        ).metrics
+    record = trainer.train(dataset, cfg)
+    return lambda kind: perturb.attack_evaluate(
+        record.prepared, record.model_state, _attack_config(args, kind, cfg.seed)
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
-    seeds = args.seeds
-    if not seeds:
-        raise HgibError("sweep needs at least one --seeds value")
-    rows = []
-    if args.grid == "labels":
-        settings = args.fractions
-        if not settings:
-            raise HgibError("empty label-fraction grid")
-    else:
-        settings = args.attacks
-        if not settings:
-            raise HgibError("empty attack grid")
-
-    for setting in settings:
-        reports = []
-        error = None
-        for seed in seeds:
+    if len(args.seeds) < 2:
+        raise HgibError("sweep needs at least two --seeds values")
+    settings = args.fractions if args.grid == "labels" else args.attacks
+    reports = [[] for _ in settings]
+    errors = [None] * len(settings)
+    for seed in args.seeds:
+        # a setting that failed for one seed is not run for later seeds
+        todo = [i for i, error in enumerate(errors) if error is None]
+        if not todo:
+            break
+        try:
+            evaluate = _seed_evaluator(args, replace(cfg, seed=seed))
+        except _SWEEP_ERRORS as exc:
+            for i in todo:
+                errors[i] = f"seed {seed}: {exc}"
+            continue
+        for i in todo:
             try:
-                run_cfg = TrainConfig(
-                    **{
-                        **cfg.to_dict(),
-                        "seed": seed,
-                        "loss": cfg.loss,
-                        **(
-                            {"label_fraction": float(setting)}
-                            if args.grid == "labels"
-                            else {}
-                        ),
-                    }
-                )
-                dataset = _load_dataset(args, run_cfg.seed)
-                record = trainer.train(dataset, run_cfg)
-                if args.grid == "attacks":
-                    attack_cfg = perturb.AttackConfig(
-                        kind=str(setting),
-                        drop_fraction=args.drop_fraction,
-                        rho=args.rho,
-                        seed=seed,
-                    )
-                    reports.append(
-                        perturb.attack_evaluate(
-                            dataset,
-                            record.model_state,
-                            attack_cfg,
-                            run_cfg.k_neighbors,
-                            record.test_mask,
-                        )
-                    )
-                else:
-                    reports.append(record.metrics)
-            except (HgibError, OSError, ValueError) as exc:
-                error = f"seed {seed}: {exc}"
-                break
-        if error is None:
-            rows.append(
-                {
-                    "setting": setting,
-                    "status": "ok",
-                    "metrics": trainer.aggregate_metrics(reports),
-                }
-            )
-        else:
-            rows.append({"setting": setting, "status": "error", "error": error})
-
-    table = {"grid": args.grid, "seeds": list(seeds), "rows": rows}
+                reports[i].append(evaluate(settings[i]))
+            except _SWEEP_ERRORS as exc:
+                errors[i] = f"seed {seed}: {exc}"
+        del evaluate   # its run's graph is freed before the next seed trains
+    rows = [
+        {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(runs)}
+        if error is None
+        else {"setting": setting, "status": "error", "error": error}
+        for setting, runs, error in zip(settings, reports, errors)
+    ]
+    table = {"grid": args.grid, "seeds": list(args.seeds), "rows": rows}
     _write_json(Path(args.out) / "table.json", table)
     print(f"{len(rows)}-row table -> {args.out}")
     return 0

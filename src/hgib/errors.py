@@ -23,7 +23,3 @@ class StructureError(HgibError):
 
 class MetricError(HgibError):
     """A metric is undefined for the given inputs."""
-
-
-class DivergenceError(HgibError):
-    """Training produced a non-finite loss."""

@@ -48,9 +48,6 @@ class Hypergraph:
             self._propagation = self.edge_to_vertex() @ self.vertex_to_edge()
         return self._propagation
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.incidence, fmt="%d", delimiter=",")
-
 
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     """One hyperedge per vertex: the vertex plus its k nearest neighbors.
@@ -86,14 +83,3 @@ def concat_hypergraphs(graphs: list[Hypergraph]) -> Hypergraph:
     if any(g.num_vertices != n for g in graphs):
         raise StructureError("hypergraphs disagree on vertex count")
     return Hypergraph(np.hstack([g.incidence for g in graphs]))
-
-
-def inter_neighbors(g: Hypergraph) -> tuple[list[list[int]], list[list[int]]]:
-    """(vertices per hyperedge, hyperedges per vertex), both sorted ascending."""
-    edge_vertices = [
-        np.flatnonzero(g.incidence[:, e]).tolist() for e in range(g.num_hyperedges)
-    ]
-    vertex_edges = [
-        np.flatnonzero(g.incidence[v, :]).tolist() for v in range(g.num_vertices)
-    ]
-    return edge_vertices, vertex_edges

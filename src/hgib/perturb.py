@@ -3,18 +3,17 @@ feature noise, plus re-evaluation of a trained model under either."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import metrics, model
-from . import autodiff as ad
+from . import model
 from .autodiff import Tensor
-from .data import Dataset, fuse_and_build, normalize
 from .errors import StructureError
 from .hypergraph import Hypergraph
 from .metrics import MetricsReport
 from .seeding import substream
+from .trainer import Prepared, evaluate_state
 
 _DROP_RETRIES = 100
 
@@ -75,23 +74,19 @@ def inject_feature_noise(
 
 
 def attack_evaluate(
-    dataset: Dataset,
-    state: model.ModelState,
-    cfg: AttackConfig,
-    k_neighbors: int,
-    test_mask: np.ndarray,
+    prepared: Prepared, state: model.ModelState, cfg: AttackConfig
 ) -> MetricsReport:
-    """Forward pass of the trained model under the configured perturbation;
-    no retraining. The clean structure is kept for the noise attack and the
-    clean features for the drop attack."""
-    dataset = normalize(dataset)
-    fused, graph = fuse_and_build(dataset, k_neighbors)
+    """Evaluate the trained model on a copy of the prepared structure with
+    the configured perturbation; no retraining, and `prepared` is left as
+    it was. The noise attack keeps the clean graph, the drop attack the
+    clean features."""
     if cfg.kind == "drop":
-        graph = drop_hyperedges(graph, cfg.drop_fraction, cfg.seed)
-    elif cfg.kind == "noise":
-        fused = Tensor(
-            inject_feature_noise(fused.data, cfg.rho, cfg.seed, cfg.per_vertex_max)
+        prepared = replace(
+            prepared, graph=drop_hyperedges(prepared.graph, cfg.drop_fraction, cfg.seed)
         )
-    logits, _ = model.forward(fused, graph, state)
-    probs = ad.row_softmax(logits)
-    return metrics.evaluate(probs, dataset.labels, test_mask)
+    elif cfg.kind == "noise":
+        noisy = inject_feature_noise(
+            prepared.features.data, cfg.rho, cfg.seed, cfg.per_vertex_max
+        )
+        prepared = replace(prepared, features=Tensor(noisy))
+    return evaluate_state(prepared, state)

@@ -1,5 +1,6 @@
 """Seeded full-batch transductive training loop with stratified
-train/test/labeled splits and multi-seed aggregation."""
+train/test/labeled splits, the prepared structure every evaluation shares,
+and multi-seed aggregation."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from . import autodiff as ad
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step
 from .data import Dataset, fuse_and_build, normalize
-from .errors import DataError, DivergenceError
+from .errors import DataError
 from .hypergraph import Hypergraph
 from .losses import LossConfig
 from .metrics import MetricsReport
@@ -44,27 +45,27 @@ class TrainConfig:
         return d
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """Normalized labels, fused features, hypergraph and masks of one
+    dataset under one config; training and every evaluation share it."""
+
+    labels: np.ndarray
+    features: Tensor
+    graph: Hypergraph
+    train_mask: np.ndarray
+    labeled_mask: np.ndarray
+    test_mask: np.ndarray
+
+
 @dataclass
 class RunRecord:
     config: dict
     loss_trace: list[float]
     metrics: MetricsReport
     duration_seconds: float
-    # in-memory artifacts for downstream evaluation (not serialized)
-    model_state: model.ModelState | None = None
-    hypergraph: Hypergraph | None = None
-    fused_features: Tensor | None = None
-    train_mask: np.ndarray | None = None
-    labeled_mask: np.ndarray | None = None
-    test_mask: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "loss_trace": self.loss_trace,
-            "metrics": self.metrics.to_dict(),
-            "duration_seconds": self.duration_seconds,
-        }
+    model_state: model.ModelState
+    prepared: Prepared
 
 
 def _stratified_take(
@@ -115,18 +116,28 @@ def split_and_mask(
     return train_mask, labeled_mask, test_mask
 
 
-def train(dataset: Dataset, cfg: TrainConfig) -> RunRecord:
-    """Full protocol: build hypergraph once, train with Adam under a linear
-    lr decay to 0, evaluate on the held-out test vertices."""
-    start = time.perf_counter()
+def prepare(dataset: Dataset, cfg: TrainConfig) -> Prepared:
+    """Normalize, fuse and build the kNN hypergraph, then split: done once
+    per dataset and config."""
     dataset = normalize(dataset)
-    fused, graph = fuse_and_build(dataset, cfg.k_neighbors)
-    train_mask, labeled_mask, test_mask = split_and_mask(
-        dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed
-    )
+    features, graph = fuse_and_build(dataset, cfg.k_neighbors)
+    masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
+    return Prepared(dataset.labels, features, graph, *masks)
 
+
+def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:
+    """Metrics of the model's softmax output on the held-out test vertices."""
+    logits, _ = model.forward(prepared.features, prepared.graph, state)
+    return metrics.evaluate(ad.row_softmax(logits), prepared.labels, prepared.test_mask)
+
+
+def train(dataset: Dataset, cfg: TrainConfig) -> RunRecord:
+    """Full protocol: prepare the structure once, train with Adam under a
+    linear lr decay to 0, evaluate on the held-out test vertices."""
+    start = time.perf_counter()
+    prepared = prepare(dataset, cfg)
     state = model.init_params(
-        in_dim=fused.shape[1],
+        in_dim=prepared.features.shape[1],
         hidden_dims=list(cfg.hidden_dims),
         num_classes=dataset.num_classes,
         rng=substream(cfg.seed, "init"),
@@ -135,33 +146,24 @@ def train(dataset: Dataset, cfg: TrainConfig) -> RunRecord:
     trace = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
-        logits, per_layer = model.forward(fused, graph, state)
+        logits, per_layer = model.forward(prepared.features, prepared.graph, state)
         loss = losses.total_loss(
-            logits, per_layer, dataset.labels, labeled_mask, cfg.loss
+            logits, per_layer, prepared.labels, prepared.labeled_mask, cfg.loss
         )
-        value = float(loss.data[0, 0])
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.append(value)
+        trace.append(float(loss.data[0, 0]))
         for p in state.params:
             p.zero_grad()
         loss.backward()
         adam_step(state.params, [p.grad for p in state.params], opt, lr)
 
-    logits, _ = model.forward(fused, graph, state)
-    probs = ad.row_softmax(logits)
-    report = metrics.evaluate(probs, dataset.labels, test_mask)
+    report = evaluate_state(prepared, state)
     return RunRecord(
         config=cfg.to_dict(),
         loss_trace=trace,
         metrics=report,
         duration_seconds=time.perf_counter() - start,
         model_state=state,
-        hypergraph=graph,
-        fused_features=fused,
-        train_mask=train_mask,
-        labeled_mask=labeled_mask,
-        test_mask=test_mask,
+        prepared=prepared,
     )
 
 
@@ -186,18 +188,3 @@ def aggregate_metrics(reports: list[MetricsReport]) -> dict:
 
 def _sample_std(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-
-
-def multi_seed(dataset: Dataset, cfg: TrainConfig, seeds: list[int]) -> dict:
-    """Independent runs per seed; returns the aggregate plus per-seed records."""
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds")
-    records = []
-    for seed in seeds:
-        run_cfg = TrainConfig(**{**cfg.to_dict(), "seed": seed, "loss": cfg.loss})
-        records.append(train(dataset, run_cfg))
-    return {
-        "seeds": list(seeds),
-        "aggregate": aggregate_metrics([r.metrics for r in records]),
-        "runs": records,
-    }

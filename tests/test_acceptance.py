@@ -221,32 +221,24 @@ def test_criterion_7_label_efficiency(default_dataset):
     ))
 
 
-def test_criterion_8_robustness_protocol(default_dataset, trained_default_runs):
+def test_criterion_8_robustness_protocol(trained_default_runs):
     clean, dropped, noisy = [], [], []
     for seed, record in trained_default_runs.items():
         clean.append(record.metrics.auc_average)
         drop_cfg = AttackConfig(kind="drop", drop_fraction=0.2, seed=seed)
         noise_cfg = AttackConfig(kind="noise", rho=0.01, seed=seed)
         dropped.append(
-            attack_evaluate(
-                default_dataset, record.model_state, drop_cfg, 20, record.test_mask
-            ).auc_average
+            attack_evaluate(record.prepared, record.model_state, drop_cfg).auc_average
         )
         noisy.append(
-            attack_evaluate(
-                default_dataset, record.model_state, noise_cfg, 20, record.test_mask
-            ).auc_average
+            attack_evaluate(record.prepared, record.model_state, noise_cfg).auc_average
         )
 
     # seed determinism of the attack evaluation itself
     seed, record = next(iter(trained_default_runs.items()))
     cfg = AttackConfig(kind="drop", drop_fraction=0.2, seed=seed)
-    first = attack_evaluate(
-        default_dataset, record.model_state, cfg, 20, record.test_mask
-    )
-    second = attack_evaluate(
-        default_dataset, record.model_state, cfg, 20, record.test_mask
-    )
+    first = attack_evaluate(record.prepared, record.model_state, cfg)
+    second = attack_evaluate(record.prepared, record.model_state, cfg)
     assert abs(first.auc_average - second.auc_average) <= 1e-12
     assert first.per_class_auc == second.per_class_auc
 

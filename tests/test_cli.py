@@ -4,7 +4,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import hgib.data
+import hgib.trainer
+from hgib import AttackConfig, SynthConfig, TrainConfig, attack_evaluate, generate_synthetic
 from hgib.cli import main
+from hgib.trainer import aggregate_metrics
 
 SCHEMAS = Path(__file__).parent.parent / "src" / "hgib" / "schemas"
 
@@ -212,6 +216,22 @@ class TestEvalAndAttack:
         jsonschema.validate(doc, load_schema("metrics.schema.json"))
         assert doc["attack"]["kind"] == kind
 
+    def test_one_evaluation_path(self, tmp_path, synth_cfg, trained_dir):
+        """eval, attack none on the checkpoint and attack none with its own
+        training all report the metrics `train` wrote."""
+        checkpoint = ["--checkpoint", str(trained_dir / "checkpoint.json")]
+        runs = {
+            "eval": ["eval", *checkpoint],
+            "attack_checkpoint": ["attack", "--attack", "none", *checkpoint],
+            "attack_trained": ["attack", "--attack", "none"],
+        }
+        expected = json.loads((trained_dir / "metrics.json").read_text())["metrics"]
+        for name, head in runs.items():
+            out = tmp_path / name
+            args = train_args(synth_cfg, out)[1:]
+            assert main([*head, *args]) == 0
+            assert json.loads((out / "metrics.json").read_text())["metrics"] == expected, name
+
 
 class TestSweep:
     def test_label_grid_table(self, tmp_path, synth_cfg):
@@ -290,3 +310,111 @@ class TestSweep:
                 ]
             )
         assert exc.value.code == 2
+
+    def test_failing_setting_errors_alone(self, tmp_path, synth_cfg):
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep",
+                "--synth",
+                synth_cfg,
+                "--grid",
+                "labels",
+                "--fractions",
+                "1.5",
+                "0.5",
+                "--seeds",
+                "1",
+                "2",
+                "--epochs",
+                "2",
+                "--k",
+                "5",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        bad, good = json.loads((out / "table.json").read_text())["rows"]
+        assert bad == {"setting": 1.5, "status": "error", "error": "seed 1: label_fraction in (0, 1]"}
+        assert good["status"] == "ok"
+
+    def test_requires_two_seeds(self, tmp_path, synth_cfg, capsys):
+        code = main(
+            [
+                "sweep",
+                "--synth",
+                synth_cfg,
+                "--grid",
+                "labels",
+                "--seeds",
+                "1",
+                "--epochs",
+                "2",
+                "--k",
+                "5",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "at least two --seeds" in capsys.readouterr().err
+        assert not (tmp_path / "table.json").exists()
+
+    def test_attack_grid_trains_each_seed_once(self, tmp_path, synth_cfg, monkeypatch):
+        calls = {"train": 0, "knn": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(hgib.trainer, "train", counted("train", hgib.trainer.train))
+        monkeypatch.setattr(
+            hgib.data, "build_knn_hyperedges", counted("knn", hgib.data.build_knn_hyperedges)
+        )
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep",
+                "--synth",
+                synth_cfg,
+                "--grid",
+                "attacks",
+                "--attacks",
+                "none",
+                "drop",
+                "noise",
+                "--seeds",
+                "1",
+                "2",
+                "--epochs",
+                "5",
+                "--k",
+                "5",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        # two modalities: one kNN graph each per training
+        assert calls == {"train": 2, "knn": 4}
+
+        monkeypatch.undo()
+        dataset = generate_synthetic(SynthConfig(**json.loads(Path(synth_cfg).read_text())))
+        runs = [
+            hgib.trainer.train(dataset, TrainConfig(epochs=5, k_neighbors=5, seed=s))
+            for s in (1, 2)
+        ]
+        table = json.loads((out / "table.json").read_text())
+        for row in table["rows"]:
+            reports = [
+                attack_evaluate(
+                    run.prepared, run.model_state, AttackConfig(kind=row["setting"], seed=s)
+                )
+                for s, run in zip((1, 2), runs)
+            ]
+            assert row["status"] == "ok"
+            assert row["metrics"] == aggregate_metrics(reports), row["setting"]

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from hgib.errors import DataError, StructureError
-from hgib.hypergraph import (
-    Hypergraph,
-    build_knn_hyperedges,
-    concat_hypergraphs,
-    inter_neighbors,
-)
+from hgib.hypergraph import Hypergraph, build_knn_hyperedges, concat_hypergraphs
 
 from conftest import random_hypergraph
 
@@ -108,33 +103,13 @@ class TestConcat:
             concat_hypergraphs([Hypergraph(np.eye(3)), Hypergraph(np.eye(4))])
 
 
-class TestInterNeighbors:
-    def test_single_edge(self):
-        g = Hypergraph(np.array([[1.0], [1.0]]))
-        edge_vertices, vertex_edges = inter_neighbors(g)
-        assert edge_vertices == [[0, 1]]
-        assert vertex_edges == [[0], [0]]
-
-    def test_singleton_edges(self):
-        _, vertex_edges = inter_neighbors(Hypergraph(np.eye(4)))
-        assert vertex_edges == [[0], [1], [2], [3]]
-
+class TestInvariants:
     def test_empty_edge_rejected_at_construction(self):
         H = np.eye(3)
         H[:, 1] = 0
         with pytest.raises(StructureError):
             Hypergraph(H)
 
-    def test_round_trips_incidence(self):
-        g = Hypergraph(random_hypergraph(np.random.default_rng(7), 8))
-        edge_vertices, _ = inter_neighbors(g)
-        rebuilt = np.zeros_like(g.incidence)
-        for e, members in enumerate(edge_vertices):
-            rebuilt[members, e] = 1.0
-        np.testing.assert_array_equal(rebuilt, g.incidence)
-
-
-class TestInvariants:
     def test_fractional_weights_rejected(self):
         with pytest.raises(StructureError):
             Hypergraph(np.array([[0.5, 1.0], [1.0, 1.0]]))
@@ -143,11 +118,3 @@ class TestInvariants:
         g = Hypergraph(random_hypergraph(np.random.default_rng(8), 7))
         np.testing.assert_array_equal(g.vertex_degrees, g.incidence.sum(axis=1))
         np.testing.assert_array_equal(g.edge_degrees, g.incidence.sum(axis=0))
-
-    def test_csv_export(self, tmp_path):
-        g = Hypergraph(np.eye(3))
-        path = tmp_path / "incidence.csv"
-        g.to_csv(path)
-        np.testing.assert_array_equal(
-            np.loadtxt(path, delimiter=","), np.eye(3)
-        )

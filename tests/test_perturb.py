@@ -113,36 +113,38 @@ class TestAttackEvaluate:
         return ds, rec
 
     def test_none_equals_plain_evaluation(self, trained):
-        ds, rec = trained
-        report = attack_evaluate(
-            ds, rec.model_state, AttackConfig(kind="none"), 5, rec.test_mask
-        )
+        _, rec = trained
+        report = attack_evaluate(rec.prepared, rec.model_state, AttackConfig(kind="none"))
         assert report.auc_average == pytest.approx(rec.metrics.auc_average, abs=1e-12)
 
     def test_drop_and_noise_run(self, trained):
-        ds, rec = trained
+        _, rec = trained
         for cfg in (
             AttackConfig(kind="drop", drop_fraction=0.2, seed=1),
             AttackConfig(kind="noise", rho=0.01, seed=1),
         ):
-            report = attack_evaluate(ds, rec.model_state, cfg, 5, rec.test_mask)
+            report = attack_evaluate(rec.prepared, rec.model_state, cfg)
             assert np.isfinite(report.auc_average)
 
     def test_no_mutation(self, trained):
         ds, rec = trained
         params_before = [p.data.copy() for p in rec.model_state.params]
         features_before = [m.copy() for m in ds.modalities]
-        attack_evaluate(
-            ds,
-            rec.model_state,
+        fused_before = rec.prepared.features.data.copy()
+        incidence_before = rec.prepared.graph.incidence.copy()
+        for cfg in (
             AttackConfig(kind="noise", rho=0.5, seed=2),
-            5,
-            rec.test_mask,
-        )
+            AttackConfig(kind="drop", drop_fraction=0.5, seed=2),
+        ):
+            attack_evaluate(rec.prepared, rec.model_state, cfg)
+            np.testing.assert_array_equal(rec.prepared.features.data, fused_before)
+            np.testing.assert_array_equal(rec.prepared.graph.incidence, incidence_before)
         for a, b in zip(params_before, rec.model_state.params):
             np.testing.assert_array_equal(a, b.data)
         for a, b in zip(features_before, ds.modalities):
             np.testing.assert_array_equal(a, b)
+        clean = attack_evaluate(rec.prepared, rec.model_state, AttackConfig(kind="none"))
+        assert clean == rec.metrics
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hgib import (
     SynthConfig,
     TrainConfig,
     generate_synthetic,
-    multi_seed,
     split_and_mask,
     train,
 )
@@ -136,23 +137,26 @@ class TestTrain:
 
 
 class TestMultiSeed:
+    @staticmethod
+    def runs(dataset, cfg, seeds):
+        return [train(dataset, replace(cfg, seed=s)) for s in seeds]
+
     def test_repeated_seed_zero_std(self, small_dataset):
-        out = multi_seed(small_dataset, tiny_cfg(epochs=5), seeds=[4, 4])
-        agg = out["aggregate"]
+        runs = self.runs(small_dataset, tiny_cfg(epochs=5), seeds=[4, 4])
+        agg = aggregate_metrics([r.metrics for r in runs])
         assert agg["auc_average"]["std"] == 0.0
         assert agg["ppv_average"]["std"] == 0.0
 
     def test_mean_std_arithmetic(self, small_dataset):
-        out = multi_seed(small_dataset, tiny_cfg(epochs=5), seeds=[1, 2])
-        runs = out["runs"]
+        runs = self.runs(small_dataset, tiny_cfg(epochs=5), seeds=[1, 2])
         vals = np.array([r.metrics.auc_average for r in runs])
-        agg = out["aggregate"]["auc_average"]
+        agg = aggregate_metrics([r.metrics for r in runs])["auc_average"]
         assert agg["mean"] == pytest.approx(vals.mean(), abs=1e-15)
         assert agg["std"] == pytest.approx(vals.std(ddof=1), abs=1e-15)
 
     def test_report_shape(self, small_dataset):
-        out = multi_seed(small_dataset, tiny_cfg(epochs=3), seeds=[1, 2, 3])
-        agg = out["aggregate"]
+        runs = self.runs(small_dataset, tiny_cfg(epochs=3), seeds=[1, 2, 3])
+        agg = aggregate_metrics([r.metrics for r in runs])
         assert set(agg) == {
             "auc_average",
             "ppv_average",
@@ -160,10 +164,6 @@ class TestMultiSeed:
             "per_class_auc",
         }
         assert len(agg["per_class_auc"]["mean"]) == small_dataset.num_classes
-
-    def test_requires_two_seeds(self, small_dataset):
-        with pytest.raises(ValueError):
-            multi_seed(small_dataset, tiny_cfg(), seeds=[1])
 
 
 class TestAggregate:
