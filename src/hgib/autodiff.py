@@ -39,6 +39,22 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
 
+    @classmethod
+    def constant(cls, data: np.ndarray) -> "Tensor":
+        """A read-only constant over `data` without copying it, for an
+        operand built once and shared by every tape (the propagation
+        matrix, the first layer's propagated input)."""
+        if data.dtype != np.float64 or data.ndim != 2:
+            raise ShapeError(f"constant needs a 2-D float64 array, got {data.dtype} ndim={data.ndim}")
+        out = cls.__new__(cls)
+        out.data = data.view()
+        out.data.setflags(write=False)
+        out.requires_grad = False
+        out.grad = None
+        out._parents = ()
+        out._vjp = None
+        return out
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
@@ -125,10 +141,14 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.data.shape} x {b.data.shape}")
+    # a constant operand (the propagation matrix) gets no n x n product
     return _make(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (
+            g @ b.data.T if _needs_grad(a) else None,
+            a.data.T @ g if _needs_grad(b) else None,
+        ),
     )
 
 
@@ -198,6 +218,21 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 
 
 # ------------------------------------------------------------ reductions
+
+def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
+    """sum_i weights[i] * terms[i] over 1x1 tensors, as one tape node."""
+    if len(terms) != len(weights) or not terms:
+        raise ShapeError("weighted_sum needs at least one term and one weight per term")
+    if any(t.data.shape != (1, 1) for t in terms):
+        raise ShapeError("weighted_sum combines 1x1 tensors")
+    weights = [float(w) for w in weights]
+    total = sum(w * t.data[0, 0] for t, w in zip(terms, weights))
+    return _make(
+        np.array([[total]]),
+        tuple(terms),
+        lambda g: tuple(g * w for w in weights),
+    )
+
 
 def tsum(t: Tensor) -> Tensor:
     if t.data.size == 0:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import DataError, StructureError
 
 
@@ -22,7 +25,6 @@ class Hypergraph:
         self.edge_degrees = incidence.sum(axis=0)
         if self.num_hyperedges and self.edge_degrees.min() < 1:
             raise StructureError("empty hyperedge")
-        self._propagation: np.ndarray | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -43,10 +45,15 @@ class Hypergraph:
         return self.incidence / self.vertex_degrees[:, None]
 
     def propagation(self) -> np.ndarray:
-        """Dv^-1 H De^-1 H^T, cached; the linear part of one convolution layer."""
-        if self._propagation is None:
-            self._propagation = self.edge_to_vertex() @ self.vertex_to_edge()
-        return self._propagation
+        """Dv^-1 H De^-1 H^T, built once and read-only; the linear part of
+        one convolution layer."""
+        return self.propagation_tensor.data
+
+    @cached_property
+    def propagation_tensor(self) -> Tensor:
+        """The propagation matrix as a constant tape operand, shared by every
+        forward pass so that none copies the n x n matrix."""
+        return Tensor.constant(self.edge_to_vertex() @ self.vertex_to_edge())
 
 
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:

@@ -53,27 +53,37 @@ def init_params(
     return ModelState(thetas=thetas, projectors=projectors)
 
 
-def hgnnp_layer_forward(x: Tensor, g: Hypergraph, theta: Tensor) -> Tensor:
+def hgnnp_layer_forward(
+    x: Tensor, g: Hypergraph, theta: Tensor, px: Tensor | None = None
+) -> Tensor:
     """One spatial convolution: mean vertex->hyperedge, mean hyperedge->vertex,
-    linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta)."""
+    linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta).
+
+    `px` is P @ x when the caller already holds it: a constant first-layer
+    input is propagated once (`trainer.Prepared.propagated_features`), not
+    on every pass."""
     if x.shape[0] != g.num_vertices:
         raise ShapeError(
             f"feature rows {x.shape[0]} != vertex count {g.num_vertices}"
         )
     if theta.shape[0] != x.shape[1]:
         raise ShapeError(f"theta rows {theta.shape[0]} != feature dim {x.shape[1]}")
-    prop = Tensor(g.propagation())
-    return ad.relu(ad.matmul(ad.matmul(prop, x), theta))
+    if px is None:
+        px = ad.matmul(g.propagation_tensor, x)
+    elif px.shape != x.shape:
+        raise ShapeError(f"propagated input {px.shape} != feature shape {x.shape}")
+    return ad.relu(ad.matmul(px, theta))
 
 
 def forward(
-    x: Tensor, g: Hypergraph, state: ModelState
+    x: Tensor, g: Hypergraph, state: ModelState, px: Tensor | None = None
 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """Full stack. Returns final-layer logits plus (activation, logits) per layer."""
+    """Full stack. Returns final-layer logits plus (activation, logits) per
+    layer; `px` is P @ x if precomputed, as in `hgnnp_layer_forward`."""
     per_layer = []
     z = x
-    for theta, w_out in zip(state.thetas, state.projectors):
-        z = hgnnp_layer_forward(z, g, theta)
+    for i, (theta, w_out) in enumerate(zip(state.thetas, state.projectors)):
+        z = hgnnp_layer_forward(z, g, theta, px if i == 0 else None)
         per_layer.append((z, ad.matmul(z, w_out)))
     return per_layer[-1][1], per_layer
 

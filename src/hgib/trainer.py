@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,13 @@ class Prepared:
     train_mask: np.ndarray
     labeled_mask: np.ndarray
     test_mask: np.ndarray
+
+    @cached_property
+    def propagated_features(self) -> Tensor:
+        """P @ X, the first layer's constant propagated input, computed once
+        and read-only. `dataclasses.replace` does not carry it over, so a
+        copy with other features or another graph computes its own."""
+        return Tensor.constant(self.graph.propagation() @ self.features.data)
 
 
 @dataclass
@@ -127,7 +135,9 @@ def prepare(dataset: Dataset, cfg: TrainConfig) -> Prepared:
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:
     """Metrics of the model's softmax output on the held-out test vertices."""
-    logits, _ = model.forward(prepared.features, prepared.graph, state)
+    logits, _ = model.forward(
+        prepared.features, prepared.graph, state, prepared.propagated_features
+    )
     return metrics.evaluate(ad.row_softmax(logits), prepared.labels, prepared.test_mask)
 
 
@@ -146,7 +156,9 @@ def train(dataset: Dataset, cfg: TrainConfig) -> RunRecord:
     trace = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
-        logits, per_layer = model.forward(prepared.features, prepared.graph, state)
+        logits, per_layer = model.forward(
+            prepared.features, prepared.graph, state, prepared.propagated_features
+        )
         loss = losses.total_loss(
             logits, per_layer, prepared.labels, prepared.labeled_mask, cfg.loss
         )

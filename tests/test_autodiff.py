@@ -24,6 +24,35 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             ad.matmul(Tensor([[1, 2]]), Tensor([[1, 2]]))
 
+    def test_vjp_skips_constant_parent(self):
+        const = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        param = Tensor([[0.5], [-1.0]], requires_grad=True)
+        g = np.ones((2, 1))
+        grad_const, grad_param = ad.matmul(const, param)._vjp(g)
+        assert grad_const is None
+        np.testing.assert_array_equal(grad_param, const.data.T @ g)
+        grad_param, grad_const = ad.matmul(Tensor([[1.0, 2.0]], requires_grad=True), const)._vjp(
+            np.ones((1, 2))
+        )
+        assert grad_const is None and grad_param.shape == (1, 2)
+
+
+class TestConstant:
+    def test_shares_memory_and_is_read_only(self):
+        data = np.arange(6.0).reshape(2, 3)
+        t = Tensor.constant(data)
+        assert np.shares_memory(t.data, data) and not t.requires_grad
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 1.0
+        data[0, 0] = 7.0  # the caller's own array stays writable
+        assert t.data[0, 0] == 7.0
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            Tensor.constant(np.zeros(3))
+        with pytest.raises(ShapeError):
+            Tensor.constant(np.zeros((2, 2), dtype=int))
+
 
 class TestElementwise:
     def test_relu_signs(self):
@@ -69,6 +98,18 @@ class TestReductions:
         np.testing.assert_allclose(
             ad.row_softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]]
         )
+
+    def test_weighted_sum(self):
+        a = Tensor([[2.0]], requires_grad=True)
+        b = Tensor([[-3.0]], requires_grad=True)
+        out = ad.weighted_sum([a, b, a], [0.5, 2.0, 1.5])
+        assert out.data[0, 0] == 2.0 * 0.5 - 6.0 + 3.0
+        out.backward()
+        assert (a.grad[0, 0], b.grad[0, 0]) == (2.0, 2.0)
+        with pytest.raises(ShapeError):
+            ad.weighted_sum([Tensor([[1.0, 2.0]])], [1.0])
+        with pytest.raises(ShapeError):
+            ad.weighted_sum([a], [1.0, 2.0])
 
     def test_row_softmax_rows_sum_to_one(self):
         x = Tensor(np.random.default_rng(3).normal(size=(5, 7), scale=30))

@@ -114,6 +114,13 @@ class TestInvariants:
         with pytest.raises(StructureError):
             Hypergraph(np.array([[0.5, 1.0], [1.0, 1.0]]))
 
+    def test_propagation_is_read_only_and_shared(self):
+        g = Hypergraph(random_hypergraph(np.random.default_rng(9), 6))
+        with pytest.raises(ValueError):
+            g.propagation()[0, 0] = 1.0
+        assert g.propagation_tensor is g.propagation_tensor
+        assert np.shares_memory(g.propagation_tensor.data, g.propagation())
+
     def test_degree_caches(self):
         g = Hypergraph(random_hypergraph(np.random.default_rng(8), 7))
         np.testing.assert_array_equal(g.vertex_degrees, g.incidence.sum(axis=1))

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hgib import autodiff as ad
-from hgib.autodiff import Tensor
+from hgib.autodiff import EPS, Tensor
+from hgib.errors import ShapeError
 from hgib.losses import (
     LossConfig,
+    ce_focal_loss,
     cross_entropy,
     focal_loss,
     hgib_loss,
     kl_bernoulli_half,
+    kl_sigmoid_half,
     total_loss,
     true_class_probs,
 )
@@ -47,9 +51,30 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 2))), [0, 1], [False, False])
 
+    def test_mask_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((3, 2))), [0, 1, 0], [True, True])
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 2))), [0, 2], [True, True])
+
+    def test_confidently_wrong_keeps_gradient(self):
+        # p(true) = e^-40 / (1 + 2 e^-40) is below any clamp: the loss is
+        # ~40 and the gradient softmax - onehot, not 27.63 and zero
+        logits = Tensor([[40.0, 0.0, 0.0]], requires_grad=True)
+        out = cross_entropy(logits, [1], [True])
+        assert scalar(out) == pytest.approx(40.0, abs=1e-9)
+        out.backward()
+        softmax = np.exp(logits.data - 40.0) / np.exp(logits.data - 40.0).sum()
+        np.testing.assert_allclose(logits.grad, softmax - [[0.0, 1.0, 0.0]], atol=1e-15)
+
+        # through the objective: q = 1 - p ~ 1, so CE + mu focal scales it by
+        # 1 + mu alpha and the bottleneck CE adds xi
+        logits.zero_grad()
+        per_layer = [(Tensor(np.zeros((1, 2))), logits)]
+        total_loss(logits, per_layer, np.array([1]), [True], LossConfig()).backward()
+        np.testing.assert_allclose(logits.grad, 13.0 * (softmax - [[0.0, 1.0, 0.0]]), atol=1e-12)
 
 
 class TestFocal:
@@ -103,6 +128,82 @@ class TestKlBernoulliHalf:
         assert f == pytest.approx(g, abs=1e-9)
         if abs(p - 0.5) > 1e-6:
             assert f > 0.0
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+logit_rows = arrays(np.float64, (3, 3), elements=st.floats(-20.0, 20.0))
+
+
+class TestFusedOps:
+    @given(
+        logit_rows,
+        st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 3.0),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    def test_ce_focal_equals_composed_references(self, x, labels, mu, alpha, gamma):
+        mask = [True, False, True]
+        logits = Tensor(x)
+        fused = scalar(ce_focal_loss(logits, labels, mask, mu, alpha, gamma))
+        ce = scalar(cross_entropy(logits, labels, mask))
+        # independent closed form over the whole range
+        p = _softmax(x)[np.arange(3), labels][mask]
+        log_p = np.log(p)
+        assert ce == pytest.approx(-log_p.mean(), abs=1e-12)
+        expected = np.mean(-log_p * (1.0 + mu * alpha * (1.0 - p) ** gamma))
+        assert fused == pytest.approx(expected, abs=1e-12)
+        # the composed tape reference clamps p at EPS; above it, it agrees
+        assume(p.min() >= 10 * EPS)
+        focal = scalar(focal_loss(true_class_probs(logits, labels), alpha, gamma, mask))
+        assert fused == pytest.approx(ce + mu * focal, abs=1e-12)
+
+    @given(arrays(np.float64, (3, 4), elements=st.floats(-20.0, 20.0)))
+    def test_kl_equals_composed_reference(self, z):
+        fused = scalar(kl_sigmoid_half(Tensor(z)))
+        composed = scalar(ad.tmean(kl_bernoulli_half(ad.sigmoid(Tensor(z)))))
+        assert fused == pytest.approx(composed, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_ce_focal_gradient_matches_finite_differences(self, gamma):
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.normal(size=(6, 3), scale=2.0), requires_grad=True)
+        labels = np.array([0, 1, 2, 2, 1, 0])
+        mask = np.array([True, True, False, True, True, True])
+
+        def build():
+            return ce_focal_loss(logits, labels, mask, 1.0, 2.0, gamma)
+
+        build().backward()
+        numeric = finite_difference_grads(lambda: build().data[0, 0], [logits])
+        assert_close_gradients([logits.grad], numeric)
+
+    def test_kl_gradient_matches_finite_differences_at_zero(self):
+        z = Tensor([[0.0, 0.0, 1.5], [-2.0, 0.0, 0.3]], requires_grad=True)
+        kl_sigmoid_half(z).backward()
+        numeric = finite_difference_grads(lambda: kl_sigmoid_half(z).data[0, 0], [z])
+        assert_close_gradients([z.grad], numeric)
+        assert z.grad[0, 0] == 0.0
+        assert scalar(kl_sigmoid_half(Tensor(np.zeros((2, 2))))) == 0.0
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_extreme_row_is_finite(self, label):
+        logits = Tensor([[800.0, 0.0, 0.0]], requires_grad=True)
+        cfg = LossConfig()
+        out = ce_focal_loss(logits, [label], [True], cfg.mu, cfg.alpha, cfg.gamma)
+        out.backward()
+        assert np.isfinite(out.data).all() and np.isfinite(logits.grad).all()
+        if label == 1:
+            # -log p = 800, q = 1: loss 800 (1 + mu alpha), gradient (s - e_y)(1 + mu alpha)
+            assert scalar(out) == pytest.approx(800.0 * 3.0)
+            np.testing.assert_allclose(logits.grad, [[3.0, -3.0, 0.0]])
+        else:
+            assert scalar(out) == 0.0
+            np.testing.assert_array_equal(logits.grad, [[0.0, 0.0, 0.0]])
 
 
 class TestHgibLoss:

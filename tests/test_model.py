@@ -76,6 +76,10 @@ class TestLayerForward:
             hgnnp_layer_forward(Tensor(np.zeros((2, 2))), g, Tensor(np.eye(2)))
         with pytest.raises(ShapeError):
             hgnnp_layer_forward(Tensor(np.zeros((3, 2))), g, Tensor(np.eye(3)))
+        with pytest.raises(ShapeError):
+            hgnnp_layer_forward(
+                Tensor(np.zeros((3, 2))), g, Tensor(np.eye(2)), px=Tensor(np.zeros((3, 3)))
+            )
 
 
 class TestForward:
@@ -90,6 +94,16 @@ class TestForward:
         np.testing.assert_allclose(
             logits.data, z.data @ state.projectors[0].data, atol=1e-14
         )
+
+    def test_precomputed_propagated_input_is_exact(self):
+        rng = np.random.default_rng(5)
+        g = Hypergraph(random_hypergraph(rng, 6))
+        x = Tensor(rng.normal(size=(6, 3)))
+        state = init_params(3, [4, 4], 2, substream(0, "init"))
+        px = Tensor.constant(g.propagation() @ x.data)
+        plain, _ = forward(x, g, state)
+        hoisted, _ = forward(x, g, state, px)
+        np.testing.assert_array_equal(hoisted.data, plain.data)
 
     def test_zero_theta_uniform_probabilities(self):
         rng = np.random.default_rng(2)

@@ -11,9 +11,11 @@ from hgib import (
     inject_feature_noise,
     train,
 )
+from hgib.autodiff import Tensor
 from hgib.errors import StructureError
 from hgib.hypergraph import Hypergraph
 from hgib.perturb import noise_scale
+from hgib.trainer import Prepared, evaluate_state
 
 from conftest import random_hypergraph
 
@@ -145,6 +147,23 @@ class TestAttackEvaluate:
             np.testing.assert_array_equal(a, b)
         clean = attack_evaluate(rec.prepared, rec.model_state, AttackConfig(kind="none"))
         assert clean == rec.metrics
+
+    def test_no_stale_propagated_input(self, trained):
+        # training filled rec.prepared's cached P @ X; an attacked copy must
+        # use its own features and graph, as a Prepared built afresh does
+        _, rec = trained
+        p = rec.prepared
+        assert "propagated_features" in vars(p)
+        masks = (p.train_mask, p.labeled_mask, p.test_mask)
+        noise = AttackConfig(kind="noise", rho=0.5, seed=2)
+        noisy = inject_feature_noise(p.features.data, noise.rho, noise.seed)
+        fresh = Prepared(p.labels, Tensor(noisy), p.graph, *masks)
+        assert attack_evaluate(p, rec.model_state, noise) == evaluate_state(fresh, rec.model_state)
+        drop = AttackConfig(kind="drop", drop_fraction=0.5, seed=2)
+        dropped = drop_hyperedges(p.graph, drop.drop_fraction, drop.seed)
+        fresh = Prepared(p.labels, p.features, dropped, *masks)
+        assert attack_evaluate(p, rec.model_state, drop) == evaluate_state(fresh, rec.model_state)
+        assert attack_evaluate(p, rec.model_state, noise) != rec.metrics
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hgib import (
     split_and_mask,
     train,
 )
-from hgib.trainer import aggregate_metrics
+from hgib.trainer import aggregate_metrics, prepare
 
 
 def tiny_cfg(**kwargs):
@@ -134,6 +134,41 @@ class TestTrain:
             TrainConfig(label_fraction=0.0)
         with pytest.raises(ValueError):
             TrainConfig(train_fraction=1.5)
+
+
+class TestPrepared:
+    def test_propagated_features_read_only_and_cached(self, small_dataset):
+        prepared = prepare(small_dataset, tiny_cfg())
+        px = prepared.propagated_features
+        assert px is prepared.propagated_features
+        np.testing.assert_array_equal(
+            px.data, prepared.graph.propagation() @ prepared.features.data
+        )
+        with pytest.raises(ValueError):
+            px.data[0, 0] = 1.0
+
+    def test_epoch_tape_size(self, small_dataset):
+        # one epoch's loss at the default model and objective: 7 nodes of
+        # forward, 1 CE+focal, CE and KL per layer, 2 weighted sums (79 when
+        # each loss term was a chain of elementwise ops)
+        from hgib import autodiff as ad
+        from hgib import losses, model
+
+        cfg = TrainConfig(k_neighbors=5)
+        assert cfg.hidden_dims == (64, 64)
+        assert (cfg.loss.mu, cfg.loss.xi, cfg.loss.beta) == (1.0, 10.0, 1.0)
+        prepared = prepare(small_dataset, cfg)
+        state = model.init_params(
+            prepared.features.shape[1], list(cfg.hidden_dims), 3, np.random.default_rng(0)
+        )
+        logits, per_layer = model.forward(
+            prepared.features, prepared.graph, state, prepared.propagated_features
+        )
+        loss = losses.total_loss(
+            logits, per_layer, prepared.labels, prepared.labeled_mask, cfg.loss
+        )
+        ops = [t for t in ad._toposort(loss) if t._vjp is not None]
+        assert len(ops) <= 20
 
 
 class TestMultiSeed:
