@@ -272,6 +272,9 @@ def row_softmax(t: Tensor) -> Tensor:
 
 # ------------------------------------------------------------------ Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter moment accumulators and the shared step counter."""
@@ -279,16 +282,12 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[Tensor], **kwargs) -> "AdamState":
+    def for_params(cls, params: list[Tensor]) -> "AdamState":
         return cls(
             m=[np.zeros_like(p.data) for p in params],
             v=[np.zeros_like(p.data) for p in params],
-            **kwargs,
         )
 
 
@@ -305,13 +304,13 @@ def adam_step(
         raise ValueError("adam_step: negative learning rate")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.data.shape != g.shape:
             raise ShapeError("adam_step: gradient shape mismatch")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -1,7 +1,8 @@
 """Command-line front end: synth / train / eval / attack / sweep.
 
 Flags override values from an optional JSON config file; all randomness
-derives from one root seed via named substreams.
+derives from one root seed via named substreams. `--synth default` is the
+fixed fixture `SynthConfig(seed=1)`, so `--seed` never changes the data.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import model, perturb, trainer
@@ -28,40 +29,23 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
 
 
-def _merge(file_cfg: dict, args: argparse.Namespace, mapping: dict) -> dict:
-    """File values first, explicit flags win."""
-    merged = dict(file_cfg)
-    for flag, key in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-_TRAIN_FLAGS = {
-    "seed": "seed",
-    "epochs": "epochs",
-    "lr": "lr_initial",
-    "k": "k_neighbors",
-    "label_fraction": "label_fraction",
-    "train_fraction": "train_fraction",
-}
-_LOSS_FLAGS = {"mu": "mu", "xi": "xi", "beta": "beta", "alpha": "alpha", "gamma": "gamma"}
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The flags given for `cls`'s fields; each flag's dest is its field name."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    file_cfg = _load_config_file(args.config)
-    loss_cfg = _merge(file_cfg.pop("loss", {}), args, _LOSS_FLAGS)
-    merged = _merge(file_cfg, args, _TRAIN_FLAGS)
-    known = {f.name for f in fields(TrainConfig)} - {"loss"}
-    unknown = set(merged) - known
+    """The --config file's values, each overridden by its flag if given."""
+    file_cfg = _read_json(args.config) if args.config else {}
+    loss_cfg = {**file_cfg.pop("loss", {}), **_given(args, LossConfig)}
+    merged = {**file_cfg, **_given(args, TrainConfig)}
+    unknown = set(merged) - {f.name for f in fields(TrainConfig)} - {"loss"}
     if unknown:
         raise HgibError(f"unknown config keys: {sorted(unknown)}")
     if "hidden_dims" in merged:
@@ -69,7 +53,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(loss=LossConfig(**loss_cfg), **merged)
 
 
-def _load_dataset(args: argparse.Namespace, seed: int) -> Dataset:
+def _load_dataset(args: argparse.Namespace) -> Dataset:
     if args.features:
         if not args.labels:
             raise HgibError("--labels is required with --features")
@@ -77,36 +61,23 @@ def _load_dataset(args: argparse.Namespace, seed: int) -> Dataset:
     if args.synth is None:
         raise HgibError("provide --synth or --features/--labels")
     if args.synth == "default":
-        synth_cfg = SynthConfig(seed=seed)
-    else:
-        with open(args.synth) as fh:
-            synth_cfg = SynthConfig(**json.load(fh))
-    return generate_synthetic(synth_cfg)
+        return generate_synthetic(SynthConfig(seed=1))   # the acceptance suite's fixture
+    return generate_synthetic(SynthConfig(**_read_json(args.synth)))
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--synth", help="'default' or path to a synth config JSON")
-    p.add_argument("--features", nargs="+", help="one CSV per modality")
-    p.add_argument("--labels", help="labels CSV (id,label)")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file with TrainConfig fields")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--label-fraction", type=float, dest="label_fraction")
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
+def _trained_or_loaded(
+    args: argparse.Namespace, dataset: Dataset, cfg: TrainConfig
+) -> tuple[trainer.Prepared, model.ModelState]:
+    """The --checkpoint's model if one is given, else a fresh training."""
+    if args.checkpoint:
+        state = model.load_checkpoint(args.checkpoint)   # fails before the graph is built
+        return trainer.prepare(dataset, cfg), state
+    record = trainer.train(dataset, cfg)
+    return record.prepared, record.model_state
 
 
 def _metrics_payload(report, cfg: TrainConfig, attack: dict | None = None) -> dict:
-    payload = {"seed": cfg.seed, "config": cfg.to_dict(), "metrics": report.to_dict()}
+    payload = {"seed": cfg.seed, "config": cfg.to_dict(), "metrics": asdict(report)}
     if attack is not None:
         payload["attack"] = attack
     return payload
@@ -115,11 +86,7 @@ def _metrics_payload(report, cfg: TrainConfig, attack: dict | None = None) -> di
 # ------------------------------------------------------------ subcommands
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.synth_config:
-        with open(args.synth_config) as fh:
-            cfg_dict = json.load(fh)
-    else:
-        cfg_dict = {}
+    cfg_dict = _read_json(args.synth_config) if args.synth_config else {}
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     if "dims" in cfg_dict:
@@ -140,21 +107,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         w.writerow(["id", "label"])
         for vid, lab in zip(ids, dataset.labels):
             w.writerow([vid, dataset.class_names[lab]])
-    cfg_out = {**cfg.__dict__, "dims": list(cfg.dims)}
-    _write_json(out / "synth.json", cfg_out)
+    _write_json(out / "synth.json", {**cfg.__dict__, "dims": list(cfg.dims)})
     print(f"wrote {dataset.n}-vertex dataset to {out}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
-    dataset = _load_dataset(args, cfg.seed)
-    record = trainer.train(dataset, cfg)
+    record = trainer.train(_load_dataset(args), cfg)
     out = Path(args.out)
     run_doc = {
         "config": record.config,
         "loss_trace": record.loss_trace,
-        "metrics": record.metrics.to_dict(),
+        "metrics": asdict(record.metrics),
         "timing": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "duration_seconds": record.duration_seconds,
@@ -162,7 +127,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     _write_json(out / "run.json", run_doc)
     _write_json(out / "metrics.json", _metrics_payload(record.metrics, cfg))
-    out.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(record.model_state, out / "checkpoint.json")
     print(f"macro AUC {record.metrics.auc_average:.4f} -> {out}")
     return 0
@@ -170,9 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
-    dataset = _load_dataset(args, cfg.seed)
-    state = model.load_checkpoint(args.checkpoint)
-    prepared = trainer.prepare(dataset, cfg)
+    prepared, state = _trained_or_loaded(args, _load_dataset(args), cfg)
     report = trainer.evaluate_state(prepared, state)
     _write_json(Path(args.out) / "metrics.json", _metrics_payload(report, cfg))
     print(f"macro AUC {report.auc_average:.4f}")
@@ -185,19 +147,13 @@ def _attack_config(args: argparse.Namespace, kind: str, seed: int) -> perturb.At
         drop_fraction=args.drop_fraction,
         rho=args.rho,
         seed=seed,
-        per_vertex_max=getattr(args, "per_vertex_max", False),
+        per_vertex_max=args.per_vertex_max,
     )
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
-    dataset = _load_dataset(args, cfg.seed)
-    if args.checkpoint:
-        state = model.load_checkpoint(args.checkpoint)
-        prepared = trainer.prepare(dataset, cfg)
-    else:
-        record = trainer.train(dataset, cfg)
-        state, prepared = record.model_state, record.prepared
+    prepared, state = _trained_or_loaded(args, _load_dataset(args), cfg)
     attack_cfg = _attack_config(args, args.attack, cfg.seed)
     report = perturb.attack_evaluate(prepared, state, attack_cfg)
     payload = _metrics_payload(report, cfg, attack=attack_cfg.__dict__)
@@ -206,13 +162,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_ERRORS = (HgibError, OSError, ValueError)
+_SWEEP_ERRORS = (HgibError, ValueError)
 
 
-def _seed_evaluator(args: argparse.Namespace, cfg: TrainConfig):
+def _seed_evaluator(args: argparse.Namespace, dataset: Dataset, cfg: TrainConfig):
     """setting -> its report for cfg.seed. The labels grid trains once per
     fraction; the attack grid trains once here and attacks that run."""
-    dataset = _load_dataset(args, cfg.seed)
     if args.grid == "labels":
         return lambda fraction: trainer.train(
             dataset, replace(cfg, label_fraction=fraction)
@@ -227,6 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     if len(args.seeds) < 2:
         raise HgibError("sweep needs at least two --seeds values")
+    dataset = _load_dataset(args)
     settings = args.fractions if args.grid == "labels" else args.attacks
     reports = [[] for _ in settings]
     errors = [None] * len(settings)
@@ -236,7 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not todo:
             break
         try:
-            evaluate = _seed_evaluator(args, replace(cfg, seed=seed))
+            evaluate = _seed_evaluator(args, dataset, replace(cfg, seed=seed))
         except _SWEEP_ERRORS as exc:
             for i in todo:
                 errors[i] = f"seed {seed}: {exc}"
@@ -261,6 +217,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ main
 
+def _run_flags() -> argparse.ArgumentParser:
+    """Dataset, training and output flags shared by train/eval/attack/sweep.
+    A training or loss flag's dest is its TrainConfig/LossConfig field."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--synth", help="'default' or path to a synth config JSON")
+    p.add_argument("--features", nargs="+", help="one CSV per modality")
+    p.add_argument("--labels", help="labels CSV (id,label)")
+    p.add_argument("--config", help="JSON config file with TrainConfig fields")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float, dest="lr_initial", metavar="LR")
+    p.add_argument("--k", type=int, dest="k_neighbors", metavar="K")
+    p.add_argument("--label-fraction", type=float)
+    p.add_argument("--train-fraction", type=float)
+    for f in fields(LossConfig):
+        p.add_argument(f"--{f.name}", type=float)
+    p.add_argument("--out", required=True)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgib",
@@ -274,53 +250,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-config", help="JSON file with generator settings")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one seeded run")
-    _add_dataset_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
+    run = _run_flags()
+    perturbation = argparse.ArgumentParser(add_help=False)
+    perturbation.add_argument("--drop-fraction", type=float, default=0.2)
+    perturbation.add_argument("--rho", type=float, default=0.01)
+
+    p = sub.add_parser("train", parents=[run], help="train one seeded run")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    _add_dataset_flags(p)
-    _add_train_flags(p)
+    p = sub.add_parser("eval", parents=[run], help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("attack", help="evaluate a trained model under perturbation")
-    _add_dataset_flags(p)
-    _add_train_flags(p)
+    p = sub.add_parser(
+        "attack", parents=[run, perturbation],
+        help="evaluate a trained model under perturbation",
+    )
     p.add_argument("--attack", choices=["none", "drop", "noise"], default="none")
-    p.add_argument("--drop-fraction", type=float, default=0.2, dest="drop_fraction")
-    p.add_argument("--rho", type=float, default=0.01)
-    p.add_argument("--per-vertex-max", action="store_true", dest="per_vertex_max")
+    p.add_argument("--per-vertex-max", action="store_true")
     p.add_argument("--checkpoint", help="skip training, use this checkpoint")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("sweep", help="label-fraction or attack grid over seeds")
-    _add_dataset_flags(p)
-    _add_train_flags(p)
+    p = sub.add_parser(
+        "sweep", parents=[run, perturbation],
+        help="label-fraction or attack grid over seeds",
+    )
     p.add_argument("--grid", choices=["labels", "attacks"], required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument(
-        "--fractions", type=float, nargs="+", default=[0.8, 0.6, 0.4]
-    )
+    p.add_argument("--fractions", type=float, nargs="+", default=[0.8, 0.6, 0.4])
     p.add_argument(
         "--attacks", nargs="+", default=["none", "drop", "noise"],
         choices=["none", "drop", "noise"],
     )
-    p.add_argument("--drop-fraction", type=float, default=0.2, dest="drop_fraction")
-    p.add_argument("--rho", type=float, default=0.01)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, per_vertex_max=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

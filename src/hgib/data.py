@@ -4,7 +4,7 @@ synthetic Gaussian-cluster generator for desk-scale experiments."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,7 +164,8 @@ def fuse_and_build(dataset: Dataset, k: int) -> tuple[Tensor, Hypergraph]:
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Balanced Gaussian clusters; class means scaled so their minimum
-    pairwise distance is separation * within_std * sqrt(dim)."""
+    pairwise distance is separation * within_std * sqrt(dim). The features
+    are raw; `trainer.prepare` normalizes them."""
     rng = substream(cfg.seed, "synth")
     labels = np.arange(cfg.n) % cfg.num_classes
     labels = labels[rng.permutation(cfg.n)]
@@ -191,6 +192,4 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     names = ["NC", "MCI", "AD"]
     if cfg.num_classes != 3:
         names = [f"class_{c}" for c in range(cfg.num_classes)]
-    return normalize(
-        Dataset(modalities=modalities, labels=labels, class_names=names)
-    )
+    return Dataset(modalities=modalities, labels=labels, class_names=names)

@@ -77,8 +77,7 @@ def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     order = np.argsort(np.round(d2, 12), axis=1, kind="stable")
     H = np.zeros((n, n))
     H[np.arange(n), np.arange(n)] = 1.0
-    for v in range(n):
-        H[order[v, :k], v] = 1.0
+    H[order[:, :k], np.arange(n)[:, None]] = 1.0   # column v: v's k nearest
     return Hypergraph(H)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +17,6 @@ class MetricsReport:
     ppv_average: float          # percent
     npv_average: float          # percent
     confusion: list[list[int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class_auc": self.per_class_auc,
-            "auc_average": self.auc_average,
-            "ppv_average": self.ppv_average,
-            "npv_average": self.npv_average,
-            "confusion": self.confusion,
-        }
 
 
 def auc_binary(scores, binary_labels) -> float:
@@ -43,17 +34,9 @@ def auc_binary(scores, binary_labels) -> float:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their midrank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)   # 1-based rank of each tie group's last member
+    return (last - (counts - 1) / 2.0)[group]
 
 
 def evaluate(probs, labels, mask) -> MetricsReport:

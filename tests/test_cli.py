@@ -1,13 +1,23 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import hgib.cli
 import hgib.data
 import hgib.trainer
-from hgib import AttackConfig, SynthConfig, TrainConfig, attack_evaluate, generate_synthetic
-from hgib.cli import main
+from hgib import (
+    AttackConfig,
+    LossConfig,
+    SynthConfig,
+    TrainConfig,
+    attack_evaluate,
+    generate_synthetic,
+)
+from hgib.cli import build_parser, main
 from hgib.trainer import aggregate_metrics
 
 SCHEMAS = Path(__file__).parent.parent / "src" / "hgib" / "schemas"
@@ -34,6 +44,21 @@ def synth_cfg(tmp_path_factory):
         )
     )
     return str(path)
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def synth_csv_args(tmp_path, synth_cfg):
+    ds_dir = tmp_path / "ds"
+    assert main(["synth", "--out", str(ds_dir), "--synth-config", synth_cfg]) == 0
+    features = [str(ds_dir / f"modality_{i}.csv") for i in range(2)]
+    return ["--features", *features, "--labels", str(ds_dir / "labels.csv")]
 
 
 def train_args(synth_cfg, out, *extra):
@@ -63,17 +88,11 @@ class TestSynth:
         assert (out / "synth.json").exists()
 
     def test_roundtrip_into_train(self, tmp_path, synth_cfg):
-        ds_dir = tmp_path / "ds"
-        main(["synth", "--out", str(ds_dir), "--synth-config", synth_cfg])
         out = tmp_path / "run"
         code = main(
             [
                 "train",
-                "--features",
-                str(ds_dir / "modality_0.csv"),
-                str(ds_dir / "modality_1.csv"),
-                "--labels",
-                str(ds_dir / "labels.csv"),
+                *synth_csv_args(tmp_path, synth_cfg),
                 "--epochs",
                 "5",
                 "--k",
@@ -152,6 +171,59 @@ class TestTrain:
         run_doc = json.loads((out / "run.json").read_text())
         assert run_doc["config"]["epochs"] == 4
         assert run_doc["config"]["loss"]["xi"] == 3.0  # flag beats file
+
+    def test_every_config_field_has_a_flag_that_beats_the_file(self, tmp_path, synth_cfg):
+        parsed = vars(build_parser().parse_args(["train", "--out", str(tmp_path)]))
+        train_fields = {f.name for f in fields(TrainConfig)} - {"hidden_dims", "loss"}
+        loss_fields = {f.name for f in fields(LossConfig)}
+        assert train_fields | loss_fields <= set(parsed)
+
+        file_loss = {"mu": 2.0, "xi": 3.0, "beta": 4.0, "alpha": 5.0, "gamma": 6.0}
+        file_cfg = {
+            "epochs": 3, "lr_initial": 0.01, "seed": 5, "train_fraction": 0.6,
+            "label_fraction": 0.5, "k_neighbors": 3, "hidden_dims": [4, 4],
+            "loss": file_loss,
+        }
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(file_cfg))
+        flags = {
+            "--epochs": 2, "--lr": 0.002, "--seed": 1, "--train-fraction": 0.8,
+            "--label-fraction": 0.9, "--k": 5, "--mu": 0.5, "--xi": 1.5,
+            "--beta": 0.25, "--alpha": 1.0, "--gamma": 2.0,
+        }
+        out = tmp_path / "run"
+        argv = ["train", "--synth", synth_cfg, "--config", str(cfg), "--out", str(out)]
+        assert main(argv + [str(x) for item in flags.items() for x in item]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config == {
+            "epochs": 2, "lr_initial": 0.002, "seed": 1, "train_fraction": 0.8,
+            "label_fraction": 0.9, "k_neighbors": 5, "hidden_dims": [4, 4],
+            "loss": {"mu": 0.5, "xi": 1.5, "beta": 0.25, "alpha": 1.0, "gamma": 2.0},
+        }
+
+    def test_synth_default_ignores_the_seed(self, tmp_path, monkeypatch):
+        fused = {}
+
+        def recording(dataset, cfg):
+            prepared = prepare(dataset, cfg)
+            fused[cfg.seed] = prepared.features.data
+            return prepared
+
+        prepare = hgib.trainer.prepare
+        monkeypatch.setattr(hgib.trainer, "prepare", recording)
+        for seed in ("1", "3"):
+            argv = ["train", "--synth", "default", "--epochs", "1", "--seed", seed]
+            assert main([*argv, "--out", str(tmp_path / seed)]) == 0
+        np.testing.assert_array_equal(fused[1], fused[3])
+
+    def test_synth_default_normalizes_once(self, tmp_path, monkeypatch):
+        calls = {"normalize": 0}
+        wrapped = counted(calls, "normalize", hgib.data.normalize)
+        monkeypatch.setattr(hgib.data, "normalize", wrapped)
+        monkeypatch.setattr(hgib.trainer, "normalize", wrapped)
+        argv = ["train", "--synth", "default", "--epochs", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == {"normalize": 1}
 
     def test_unknown_config_key_rejected(self, tmp_path, synth_cfg):
         cfg = tmp_path / "bad.json"
@@ -361,19 +433,34 @@ class TestSweep:
         assert "at least two --seeds" in capsys.readouterr().err
         assert not (tmp_path / "table.json").exists()
 
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        argv = ["sweep", "--features", "nope.csv", "--labels", "missing_labels.csv"]
+        argv += ["--grid", "labels", "--seeds", "1", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "error: file not found: nope.csv" in capsys.readouterr().err
+        assert not (tmp_path / "table.json").exists()
+
+    def test_csv_read_once(self, tmp_path, synth_cfg, monkeypatch):
+        csv_args = synth_csv_args(tmp_path, synth_cfg)
+        calls = {"load_csv": 0}
+        monkeypatch.setattr(hgib.cli, "load_csv", counted(calls, "load_csv", hgib.cli.load_csv))
+        out = tmp_path / "sweep"
+        argv = ["sweep", *csv_args, "--grid", "labels", "--fractions", "1.0"]
+        argv += ["--seeds", "1", "2", "--epochs", "2", "--k", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == {"load_csv": 1}
+        rows = json.loads((out / "table.json").read_text())["rows"]
+        assert [row["status"] for row in rows] == ["ok"]
+
     def test_attack_grid_trains_each_seed_once(self, tmp_path, synth_cfg, monkeypatch):
         calls = {"train": 0, "knn": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(hgib.trainer, "train", counted("train", hgib.trainer.train))
         monkeypatch.setattr(
-            hgib.data, "build_knn_hyperedges", counted("knn", hgib.data.build_knn_hyperedges)
+            hgib.trainer, "train", counted(calls, "train", hgib.trainer.train)
+        )
+        monkeypatch.setattr(
+            hgib.data,
+            "build_knn_hyperedges",
+            counted(calls, "knn", hgib.data.build_knn_hyperedges),
         )
         out = tmp_path / "sweep"
         code = main(

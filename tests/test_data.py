@@ -160,7 +160,7 @@ class TestGenerateSynthetic:
         assert ds.n == 240
         assert [m.shape[1] for m in ds.modalities] == [16, 16, 8]
         assert ds.class_names == ["NC", "MCI", "AD"]
-        for m in ds.modalities:
+        for m in normalize(ds).modalities:
             assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_label_noise_count(self):
