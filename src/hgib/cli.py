@@ -16,7 +16,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import model, perturb, trainer
-from .data import Dataset, SynthConfig, generate_synthetic, load_csv
+from .data import Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
 from .errors import HgibError
 from .losses import LossConfig
 from .trainer import TrainConfig
@@ -24,9 +24,7 @@ from .trainer import TrainConfig
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: str) -> dict:
@@ -43,14 +41,19 @@ def _given(args: argparse.Namespace, cls) -> dict:
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """The --config file's values, each overridden by its flag if given."""
     file_cfg = _read_json(args.config) if args.config else {}
+    if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("loss", {}), dict):
+        raise HgibError("--config must hold a JSON object, and its 'loss' one too")
     loss_cfg = {**file_cfg.pop("loss", {}), **_given(args, LossConfig)}
     merged = {**file_cfg, **_given(args, TrainConfig)}
     unknown = set(merged) - {f.name for f in fields(TrainConfig)} - {"loss"}
     if unknown:
         raise HgibError(f"unknown config keys: {sorted(unknown)}")
-    if "hidden_dims" in merged:
-        merged["hidden_dims"] = tuple(merged["hidden_dims"])
-    return TrainConfig(loss=LossConfig(**loss_cfg), **merged)
+    try:
+        if "hidden_dims" in merged:
+            merged["hidden_dims"] = tuple(merged["hidden_dims"])
+        return TrainConfig(loss=LossConfig(**loss_cfg), **merged)
+    except TypeError as exc:   # an unknown loss key, or a value of the wrong type
+        raise HgibError(f"bad config: {exc}") from exc
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:

@@ -1,9 +1,11 @@
-"""Dataset ingestion, [0,1] normalization, multi-modal fusion, and a
-synthetic Gaussian-cluster generator for desk-scale experiments."""
+"""Dataset ingestion, [0,1] normalization, multi-modal fusion, a
+synthetic Gaussian-cluster generator for desk-scale experiments, and
+atomic artifact writes."""
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +120,21 @@ def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
     if matrix.ndim != 2 or matrix.shape[1] == 0:
         raise DataError(f"{path}: expected at least one feature column")
     return ids, matrix
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into
+    place, so a reader sees the old file or the whole new one, never part."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_labels_csv(path) -> dict:

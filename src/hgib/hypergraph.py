@@ -1,4 +1,5 @@
-"""Incidence-matrix hypergraphs and kNN hyperedge construction."""
+"""Hypergraphs stored as member lists, kNN hyperedge construction, and the
+propagation matrix built from co-membership counts."""
 
 from __future__ import annotations
 
@@ -11,7 +12,11 @@ from .errors import DataError, StructureError
 
 
 class Hypergraph:
-    """Immutable hypergraph over n vertices, stored as a binary n x |E| incidence matrix."""
+    """Immutable hypergraph over n vertices. Hyperedge e's members are
+    `indices[indptr[e]:indptr[e + 1]]` (CSR), ascending and distinct.
+
+    `Hypergraph(H)` takes a dense binary n x |E| incidence matrix;
+    `Hypergraph.from_members` takes the member lists directly."""
 
     def __init__(self, incidence: np.ndarray):
         incidence = np.asarray(incidence, dtype=np.float64)
@@ -19,30 +24,65 @@ class Hypergraph:
             raise StructureError("incidence matrix must be 2-D")
         if not np.isin(incidence, (0.0, 1.0)).all():
             raise StructureError("incidence entries must be exactly 0 or 1")
-        self.incidence = incidence
-        self.incidence.setflags(write=False)
-        self.vertex_degrees = incidence.sum(axis=1)
-        self.edge_degrees = incidence.sum(axis=0)
-        if self.num_hyperedges and self.edge_degrees.min() < 1:
-            raise StructureError("empty hyperedge")
+        # row-major over H^T: each edge's members in ascending order
+        edges, members = np.nonzero(incidence.T)
+        sizes = np.bincount(edges, minlength=incidence.shape[1])
+        self._set_members(incidence.shape[0], _offsets(sizes), members)
 
-    @property
-    def num_vertices(self) -> int:
-        return self.incidence.shape[0]
+    @classmethod
+    def from_members(
+        cls, num_vertices: int, indptr: np.ndarray, indices: np.ndarray
+    ) -> Hypergraph:
+        """The hypergraph whose edge e holds `indices[indptr[e]:indptr[e + 1]]`."""
+        g = cls.__new__(cls)
+        g._set_members(num_vertices, indptr, indices)
+        return g
+
+    def _set_members(self, num_vertices: int, indptr, indices) -> None:
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        if indptr.ndim != 1 or indices.ndim != 1 or indptr.size < 1:
+            raise StructureError("member lists must be 1-D with indptr non-empty")
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise StructureError("member lists must hold integers")
+        if indptr[0] != 0 or indptr[-1] != indices.size:
+            raise StructureError("indptr must run from 0 to the member count")
+        sizes = np.diff(indptr)
+        if (sizes < 1).any():
+            raise StructureError("empty hyperedge")
+        if indices.size and (indices.min() < 0 or indices.max() >= num_vertices):
+            raise StructureError("member index outside the vertex set")
+        steps = np.diff(indices)
+        steps[indptr[1:-1] - 1] = 1   # an edge's first member may be anything
+        if (steps < 1).any():
+            raise StructureError("an edge's members must be ascending and distinct")
+        self.num_vertices = int(num_vertices)
+        self.indptr = indptr.astype(np.intp)
+        self.indices = indices.astype(np.intp)
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+        self.edge_degrees = sizes
+        self.vertex_degrees = np.bincount(self.indices, minlength=self.num_vertices)
 
     @property
     def num_hyperedges(self) -> int:
-        return self.incidence.shape[1]
+        return self.indptr.size - 1
 
-    def vertex_to_edge(self) -> np.ndarray:
-        """De^-1 H^T: averages vertex features into each hyperedge."""
-        return self.incidence.T / self.edge_degrees[:, None]
+    @property
+    def incidence(self) -> np.ndarray:
+        """The dense binary n x |E| matrix H, built on each access; training,
+        evaluation and the attacks never need it."""
+        H = np.zeros((self.num_vertices, self.num_hyperedges))
+        H[self.indices, np.repeat(np.arange(self.num_hyperedges), self.edge_degrees)] = 1.0
+        return H
 
-    def edge_to_vertex(self) -> np.ndarray:
-        """Dv^-1 H: averages hyperedge features back onto vertices."""
-        if self.vertex_degrees.min() < 1:
-            raise StructureError("vertex with no hyperedge membership")
-        return self.incidence / self.vertex_degrees[:, None]
+    def edge_subset(self, keep: np.ndarray) -> Hypergraph:
+        """The hypergraph of the edges where the boolean mask `keep` is set,
+        in order, over the same vertices."""
+        members = np.repeat(keep, self.edge_degrees)
+        return Hypergraph.from_members(
+            self.num_vertices, _offsets(self.edge_degrees[keep]), self.indices[members]
+        )
 
     def propagation(self) -> np.ndarray:
         """Dv^-1 H De^-1 H^T, built once and read-only; the linear part of
@@ -52,15 +92,40 @@ class Hypergraph:
     @cached_property
     def propagation_tensor(self) -> Tensor:
         """The propagation matrix as a constant tape operand, shared by every
-        forward pass so that none copies the n x n matrix."""
-        return Tensor.constant(self.edge_to_vertex() @ self.vertex_to_edge())
+        forward pass so that none copies the n x n matrix.
+
+        P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
+        co-membership counts from one `bincount` over the member pairs of
+        each edge size (a kNN graph has one), divided by that size."""
+        if (self.vertex_degrees < 1).any():
+            raise StructureError("vertex with no hyperedge membership")
+        n = self.num_vertices
+        P = None
+        for size in np.unique(self.edge_degrees):
+            starts = self.indptr[:-1][self.edge_degrees == size]
+            members = self.indices[starts[:, None] + np.arange(size)]
+            pairs = (members * n)[:, :, None] + members[:, None, :]
+            counts = np.bincount(pairs.ravel(), minlength=n * n)
+            del pairs   # the largest array here; freed before P is allocated
+            if P is None:
+                P = counts / size
+            else:
+                P += counts / size
+        P = P.reshape(n, n)
+        P /= self.vertex_degrees[:, None]
+        return Tensor.constant(P)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR indptr of edges with the given member counts."""
+    return np.concatenate(([0], np.cumsum(sizes)))
 
 
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     """One hyperedge per vertex: the vertex plus its k nearest neighbors.
 
-    Euclidean distance; ties broken by ascending vertex index, so the
-    result is deterministic.
+    Squared Euclidean distance rounded to 12 decimals; ties broken by
+    ascending vertex index, so the result is deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -71,21 +136,33 @@ def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     if not 0 <= k < n:
         raise ValueError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
     sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
-    # stable argsort on distance keeps ascending-index order among ties
-    order = np.argsort(np.round(d2, 12), axis=1, kind="stable")
-    H = np.zeros((n, n))
-    H[np.arange(n), np.arange(n)] = 1.0
-    H[order[:, :k], np.arange(n)[:, None]] = 1.0   # column v: v's k nearest
-    return Hypergraph(H)
+    np.round(d2, 12, out=d2)
+    rows = np.arange(n)[:, None]
+    if k == 0:
+        nearest = np.empty((n, 0), dtype=np.intp)
+    else:
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        # argpartition breaks ties at the k-th distance arbitrarily: rows
+        # with more candidates at or below it than k are ranked again by
+        # (distance, index)
+        kth = d2[rows, nearest].max(axis=1)
+        tied = np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k)
+        if tied.size:
+            nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    members = np.sort(np.hstack([rows, nearest]), axis=1)
+    return Hypergraph.from_members(n, np.arange(0, n * (k + 1) + 1, k + 1), members.ravel())
 
 
 def concat_hypergraphs(graphs: list[Hypergraph]) -> Hypergraph:
-    """Column-wise concatenation of incidence matrices over a shared vertex set."""
+    """Edge-wise concatenation over a shared vertex set, in order."""
     if not graphs:
         raise ValueError("need at least one hypergraph")
     n = graphs[0].num_vertices
     if any(g.num_vertices != n for g in graphs):
         raise StructureError("hypergraphs disagree on vertex count")
-    return Hypergraph(np.hstack([g.incidence for g in graphs]))
+    sizes = np.concatenate([g.edge_degrees for g in graphs])
+    indices = np.concatenate([g.indices for g in graphs])
+    return Hypergraph.from_members(n, _offsets(sizes), indices)

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import write_text_atomic
 from .errors import DataError, ShapeError
 from .hypergraph import Hypergraph
 
@@ -103,11 +104,13 @@ def save_checkpoint(state: ModelState, path) -> None:
         }
         for name, t in entries
     ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_text_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path) -> ModelState:
+    """The saved state, checked to form a chain: theta_i's rows are the
+    previous layer's width, and each w_out_i maps theta_i's width to one
+    common class count."""
     with open(path) as fh:
         payload = json.load(fh)
     tensors = {}
@@ -117,7 +120,20 @@ def load_checkpoint(path) -> ModelState:
     n_layers = sum(1 for name in tensors if name.startswith("theta_"))
     if n_layers == 0 or len(tensors) != 2 * n_layers:
         raise DataError("malformed checkpoint")
-    return ModelState(
+    state = ModelState(
         thetas=[tensors["theta_%d" % i] for i in range(n_layers)],
         projectors=[tensors["w_out_%d" % i] for i in range(n_layers)],
     )
+    num_classes = state.projectors[0].shape[1]
+    for i, (theta, w_out) in enumerate(zip(state.thetas, state.projectors)):
+        if i and theta.shape[0] != state.thetas[i - 1].shape[1]:
+            raise DataError(
+                f"checkpoint theta_{i} has {theta.shape[0]} rows, "
+                f"previous layer width is {state.thetas[i - 1].shape[1]}"
+            )
+        if w_out.shape != (theta.shape[1], num_classes):
+            raise DataError(
+                f"checkpoint w_out_{i} is {w_out.shape}, "
+                f"expected {(theta.shape[1], num_classes)}"
+            )
+    return state

@@ -48,9 +48,9 @@ def drop_hyperedges(g: Hypergraph, fraction: float, seed: int) -> Hypergraph:
         dropped = rng.choice(g.num_hyperedges, size=n_drop, replace=False)
         keep = np.ones(g.num_hyperedges, dtype=bool)
         keep[dropped] = False
-        sub = g.incidence[:, keep]
-        if sub.sum(axis=1).min() >= 1:
-            return Hypergraph(sub)
+        sub = g.edge_subset(keep)
+        if sub.vertex_degrees.min() >= 1:
+            return sub
     raise StructureError("could not drop hyperedges without uncovering a vertex")
 
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +31,20 @@ def trained_default_runs(default_dataset):
         seed: train(default_dataset, TrainConfig(seed=seed))
         for seed in ACCEPTANCE_SEEDS
     }
+
+
+@pytest.fixture
+def replaced(monkeypatch):
+    """(source, target) of every `os.replace` call; each call still runs."""
+    calls = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        calls.append((os.fspath(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
 
 
 def random_hypergraph(rng, n, max_edges=None):

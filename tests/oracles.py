@@ -1,6 +1,7 @@
 """Independent reference implementations used to check the library:
 finite differences for gradients, loop-based spatial convolution,
-trapezoidal ROC integration. None of these share code with hgib."""
+brute-force kNN incidence and dense propagation, trapezoidal ROC
+integration. None of these share code with hgib."""
 
 from __future__ import annotations
 
@@ -57,10 +58,31 @@ def spatial_conv_oracle(H, X, theta):
 
 def matrix_conv_oracle(H, X, theta):
     """sigma(Dv^-1 H De^-1 H^T X Theta) as one dense expression."""
+    return np.maximum(propagation_oracle(H) @ X @ theta, 0.0)
+
+
+def knn_incidence_oracle(X, k):
+    """Dense n x n incidence of the kNN hypergraph by brute force: column v
+    holds v and the first k other vertices in (squared distance, index)
+    order."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    index = np.arange(n)
+    H = np.zeros((n, n))
+    for v in range(n):
+        d = ((X - X[v]) ** 2).sum(axis=1)
+        d[v] = np.inf
+        H[np.lexsort((index, d))[:k], v] = 1.0
+        H[v, v] = 1.0
+    return H
+
+
+def propagation_oracle(H):
+    """Dv^-1 H De^-1 H^T with explicit diagonal matrices."""
     H = np.asarray(H, dtype=float)
     dv = np.diag(1.0 / H.sum(axis=1))
     de = np.diag(1.0 / H.sum(axis=0))
-    return np.maximum(dv @ H @ de @ H.T @ X @ theta, 0.0)
+    return dv @ H @ de @ H.T
 
 
 def auc_trapezoid(scores, labels):

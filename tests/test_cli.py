@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hgib import (
     generate_synthetic,
 )
 from hgib.cli import build_parser, main
+from hgib.hypergraph import Hypergraph
 from hgib.trainer import aggregate_metrics
 
 SCHEMAS = Path(__file__).parent.parent / "src" / "hgib" / "schemas"
@@ -232,6 +234,55 @@ class TestTrain:
             ["train", "--synth", synth_cfg, "--config", str(cfg), "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"loss": {"lambda": 1.0}}, {"epochs": "ten"}, {"hidden_dims": 64}, {"loss": 5}, [1, 2]],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, synth_cfg, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(
+            ["train", "--synth", synth_cfg, "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_artifacts_written_atomically(self, tmp_path, synth_cfg, replaced):
+        out = tmp_path / "run"
+        assert main(train_args(synth_cfg, out)) == 0
+        names = sorted(os.path.basename(dst) for _, dst in replaced)
+        assert names == ["checkpoint.json", "metrics.json", "run.json"]
+        assert all(os.path.dirname(src) == str(out) for src, _ in replaced)
+        assert sorted(os.listdir(out)) == names
+
+
+class TestDenseIncidenceNeverBuilt:
+    """Training, checkpoint attacks and the attack sweep run on the member
+    lists alone: a dense n x |E| incidence is never materialized."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_incidence(self, monkeypatch):
+        def incidence(self):
+            raise AssertionError("dense incidence built on the run path")
+
+        monkeypatch.setattr(Hypergraph, "incidence", property(incidence))
+
+    def test_train_attack_sweep(self, tmp_path):
+        run = ["--synth", "default", "--epochs", "3", "--seed", "1"]
+        assert main(["train", *run, "--out", str(tmp_path / "train")]) == 0
+        checkpoint = str(tmp_path / "train" / "checkpoint.json")
+        assert main(
+            ["attack", *run, "--attack", "drop", "--checkpoint", checkpoint,
+             "--out", str(tmp_path / "attack")]
+        ) == 0
+        assert main(
+            ["sweep", *run, "--grid", "attacks", "--attacks", "none", "drop", "noise",
+             "--seeds", "1", "2", "--out", str(tmp_path / "sweep")]
+        ) == 0
+        rows = json.loads((tmp_path / "sweep" / "table.json").read_text())["rows"]
+        assert [row["status"] for row in rows] == ["ok"] * 3
 
 
 class TestEvalAndAttack:

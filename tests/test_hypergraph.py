@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgib.errors import DataError, StructureError
 from hgib.hypergraph import Hypergraph, build_knn_hyperedges, concat_hypergraphs
 
 from conftest import random_hypergraph
+from oracles import knn_incidence_oracle, propagation_oracle
+
+# (seed, n, k) with 0 <= k < n
+knn_cases = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.integers(0, 2**32 - 1), st.just(n), st.integers(0, n - 1))
+)
 
 
 def edge_set(g, e):
@@ -61,6 +68,23 @@ class TestBuildKnn:
         for i in range(9):
             assert edge_set(gp, i) == {inv[v] for v in edge_set(g, perm[i])}
 
+    @settings(max_examples=60, deadline=None)
+    @given(knn_cases, st.integers(1, 5))
+    def test_members_equal_oracle_on_random_features(self, case, d):
+        seed, n, k = case
+        X = np.random.default_rng(seed).normal(size=(n, d))
+        g = build_knn_hyperedges(X, k)
+        np.testing.assert_array_equal(g.incidence, knn_incidence_oracle(X, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_cases, st.integers(1, 3), st.integers(1, 3))
+    def test_members_equal_oracle_on_integer_grid(self, case, d, levels):
+        # few distinct coordinates: many vertices tie at the k-th distance
+        seed, n, k = case
+        X = np.random.default_rng(seed).integers(0, levels + 1, size=(n, d)).astype(float)
+        g = build_knn_hyperedges(X, k)
+        np.testing.assert_array_equal(g.incidence, knn_incidence_oracle(X, k))
+
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             build_knn_hyperedges(np.zeros((3, 2)), k=3)
@@ -101,6 +125,79 @@ class TestConcat:
     def test_mismatched_vertex_count(self):
         with pytest.raises(StructureError):
             concat_hypergraphs([Hypergraph(np.eye(3)), Hypergraph(np.eye(4))])
+
+
+class TestMemberLists:
+    def test_dense_round_trip(self):
+        H = random_hypergraph(np.random.default_rng(11), 9, max_edges=5)
+        g = Hypergraph(H)
+        np.testing.assert_array_equal(g.incidence, H)
+        again = Hypergraph.from_members(9, g.indptr, g.indices)
+        np.testing.assert_array_equal(again.incidence, H)
+
+    def test_knn_edge_is_vertex_plus_neighbors(self):
+        g = build_knn_hyperedges(np.array([[0.0], [1.0], [2.0], [10.0]]), k=1)
+        np.testing.assert_array_equal(g.indptr, [0, 2, 4, 6, 8])
+        np.testing.assert_array_equal(g.indices, [0, 1, 0, 1, 1, 2, 2, 3])
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 2, 2], [0, 1]),        # empty edge
+            ([0, 2], [1, 0]),           # members not ascending
+            ([0, 2], [1, 1]),           # repeated member
+            ([0, 2], [0, 3]),           # vertex outside 0..n-1
+            ([0, 1], [-1]),
+            ([0, 3], [0, 1]),           # indptr past the member count
+            ([1, 2], [0, 1]),
+            ([0.0, 2.0], [0, 1]),       # non-integer offsets
+        ],
+    )
+    def test_malformed_members_rejected(self, indptr, indices):
+        with pytest.raises(StructureError):
+            Hypergraph.from_members(3, np.array(indptr), np.array(indices))
+
+    def test_next_edge_may_restart_low(self):
+        g = Hypergraph.from_members(3, np.array([0, 2, 4]), np.array([1, 2, 0, 1]))
+        np.testing.assert_array_equal(g.vertex_degrees, [1, 2, 1])
+
+    def test_edge_subset_keeps_order(self):
+        H = random_hypergraph(np.random.default_rng(12), 8)
+        keep = np.arange(8) % 3 != 1
+        np.testing.assert_array_equal(Hypergraph(H).edge_subset(keep).incidence, H[:, keep])
+
+
+class TestPropagation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 30))
+    def test_equals_dense_oracle_on_ragged_graphs(self, seed, n, num_edges):
+        H = random_hypergraph(np.random.default_rng(seed), n, max_edges=num_edges)
+        H = H[:, H.sum(axis=0) > 0]   # with more edges than vertices, some may be empty
+        np.testing.assert_allclose(
+            Hypergraph(H).propagation(), propagation_oracle(H), rtol=1e-12, atol=1e-15
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_cases, st.integers(1, 3))
+    def test_equals_dense_oracle_on_knn_graphs(self, case, modalities):
+        seed, n, k = case
+        rng = np.random.default_rng(seed)
+        g = concat_hypergraphs(
+            [build_knn_hyperedges(rng.normal(size=(n, 2)), k) for _ in range(modalities)]
+        )
+        np.testing.assert_allclose(
+            g.propagation(), propagation_oracle(g.incidence), rtol=1e-12, atol=1e-15
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 15))
+    def test_uncovered_vertex_raises(self, seed, n):
+        rng = np.random.default_rng(seed)
+        H = random_hypergraph(rng, n)
+        H[rng.integers(n)] = 0.0
+        g = Hypergraph(H[:, H.sum(axis=0) > 0])
+        with pytest.raises(StructureError):
+            g.propagation()
 
 
 class TestInvariants:

@@ -1,9 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgib import autodiff as ad
 from hgib.autodiff import Tensor
-from hgib.errors import ShapeError
+from hgib.errors import DataError, ShapeError
 from hgib.hypergraph import Hypergraph
 from hgib.model import (
     ModelState,
@@ -105,6 +109,24 @@ class TestForward:
         hoisted, _ = forward(x, g, state, px)
         np.testing.assert_array_equal(hoisted.data, plain.data)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+    def test_relabelling_vertices_permutes_rows(self, seed, n, precomputed):
+        rng = np.random.default_rng(seed)
+        H = random_hypergraph(rng, n)
+        x = rng.normal(size=(n, 3))
+        perm = rng.permutation(n)
+        state = init_params(3, [4, 4], 2, substream(seed, "init"))
+
+        def run(H, x):
+            g = Hypergraph(H)
+            px = Tensor.constant(g.propagation() @ x) if precomputed else None
+            logits, per_layer = forward(Tensor(x), g, state, px)
+            return [logits.data] + [t.data for layer in per_layer for t in layer]
+
+        for base, permuted in zip(run(H, x), run(H[perm], x[perm])):
+            np.testing.assert_allclose(permuted, base[perm], rtol=1e-12, atol=1e-12)
+
     def test_zero_theta_uniform_probabilities(self):
         rng = np.random.default_rng(2)
         g = Hypergraph(random_hypergraph(rng, 6))
@@ -180,3 +202,39 @@ class TestCheckpoint:
         assert loaded.num_layers == state.num_layers
         for a, b in zip(state.params, loaded.params):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_write_is_atomic_and_bytes_unchanged(self, tmp_path, replaced):
+        state = init_params(5, [4, 3], 2, substream(3, "init"))
+        path = tmp_path / "checkpoint.json"
+        path.write_text("old")
+        save_checkpoint(state, path)
+        [(src, dst)] = replaced
+        assert os.path.dirname(src) == str(tmp_path) and dst == str(path)
+        assert os.listdir(tmp_path) == ["checkpoint.json"]
+        names = ["theta_0", "theta_1", "w_out_0", "w_out_1"]
+        payload = [
+            {"name": name, "rows": t.shape[0], "cols": t.shape[1], "values": t.data.ravel().tolist()}
+            for name, t in zip(names, state.params)
+        ]
+        assert path.read_text() == json.dumps(payload)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("theta_1", (5, 3)),    # rows != theta_0's width 4
+            ("w_out_0", (3, 2)),    # rows != theta_0's width 4
+            ("w_out_1", (3, 4)),    # another class count than w_out_0
+        ],
+    )
+    def test_broken_shape_chain_rejected(self, tmp_path, name, shape):
+        state = init_params(5, [4, 3], 2, substream(3, "init"))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(state, path)
+        payload = json.loads(path.read_text())
+        for entry in payload:
+            if entry["name"] == name:
+                entry["rows"], entry["cols"] = shape
+                entry["values"] = [0.5] * (shape[0] * shape[1])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=name):
+            load_checkpoint(path)
