@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError
 
-EPS = 1e-12
-
 
 def _as_matrix(data) -> np.ndarray:
     arr = np.array(data, dtype=np.float64)
@@ -131,11 +129,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 # ---------------------------------------------------------------- matmul
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -154,67 +147,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # ----------------------------------------------------------- elementwise
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def neg(t: Tensor) -> Tensor:
-    return _make(-t.data, (t,), lambda g: (-g,))
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(t.data * c, (t,), lambda g: (g * c,))
-
-
 def relu(t: Tensor) -> Tensor:
     mask = t.data > 0.0
     return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    # clamp keeps the output strictly inside (0, 1); exp may overflow to inf,
-    # which still clips correctly
-    with np.errstate(over="ignore"):
-        s = np.clip(1.0 / (1.0 + np.exp(-t.data)), EPS, 1.0 - EPS)
-    return _make(s, (t,), lambda g: (g * s * (1.0 - s),))
-
-
-def log(t: Tensor) -> Tensor:
-    # inputs clamped to >= EPS; gradient is zero in the clamped region
-    clamped = np.maximum(t.data, EPS)
-    inside = t.data >= EPS
-    return _make(np.log(clamped), (t,), lambda g: (g * inside / clamped,))
-
-
-def power(t: Tensor, exponent: float) -> Tensor:
-    # base clamped to >= EPS so fractional exponents stay finite
-    exponent = float(exponent)
-    clamped = np.maximum(t.data, EPS)
-    inside = t.data >= EPS
-    out = clamped ** exponent
-    return _make(
-        out,
-        (t,),
-        lambda g: (g * inside * exponent * clamped ** (exponent - 1.0),),
-    )
-
-
-def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    # straight-through inside [lo, hi], zero gradient outside
-    inside = (t.data >= lo) & (t.data <= hi)
-    return _make(np.clip(t.data, lo, hi), (t,), lambda g: (g * inside,))
 
 
 # ------------------------------------------------------------ reductions
@@ -242,18 +177,6 @@ def tsum(t: Tensor) -> Tensor:
         np.array([[t.data.sum()]]),
         (t,),
         lambda g: (np.full(shape, g[0, 0]),),
-    )
-
-
-def tmean(t: Tensor) -> Tensor:
-    if t.data.size == 0:
-        raise ShapeError("mean of an empty tensor")
-    shape = t.data.shape
-    n = t.data.size
-    return _make(
-        np.array([[t.data.mean()]]),
-        (t,),
-        lambda g: (np.full(shape, g[0, 0] / n),),
     )
 
 

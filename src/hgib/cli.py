@@ -38,22 +38,27 @@ def _given(args: argparse.Namespace, cls) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
+def _config(cls, values, **given):
+    """`cls` from a JSON object's values, each overridden by `given`; a JSON
+    list for a tuple field becomes a tuple. A value that is not an object,
+    an unknown key or a value of the wrong type is an HgibError."""
+    try:
+        values = {**values, **given}
+        for f in fields(cls):
+            if f.name in values and f.type.startswith("tuple"):
+                values[f.name] = tuple(values[f.name])
+        return cls(**values)
+    except TypeError as exc:
+        raise HgibError(f"bad {cls.__name__}: {exc}") from exc
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """The --config file's values, each overridden by its flag if given."""
     file_cfg = _read_json(args.config) if args.config else {}
-    if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("loss", {}), dict):
-        raise HgibError("--config must hold a JSON object, and its 'loss' one too")
-    loss_cfg = {**file_cfg.pop("loss", {}), **_given(args, LossConfig)}
-    merged = {**file_cfg, **_given(args, TrainConfig)}
-    unknown = set(merged) - {f.name for f in fields(TrainConfig)} - {"loss"}
-    if unknown:
-        raise HgibError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        if "hidden_dims" in merged:
-            merged["hidden_dims"] = tuple(merged["hidden_dims"])
-        return TrainConfig(loss=LossConfig(**loss_cfg), **merged)
-    except TypeError as exc:   # an unknown loss key, or a value of the wrong type
-        raise HgibError(f"bad config: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise HgibError("--config must hold a JSON object")
+    loss = _config(LossConfig, file_cfg.get("loss", {}), **_given(args, LossConfig))
+    return _config(TrainConfig, file_cfg, **_given(args, TrainConfig), loss=loss)
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
@@ -65,7 +70,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         raise HgibError("provide --synth or --features/--labels")
     if args.synth == "default":
         return generate_synthetic(SynthConfig(seed=1))   # the acceptance suite's fixture
-    return generate_synthetic(SynthConfig(**_read_json(args.synth)))
+    return generate_synthetic(_config(SynthConfig, _read_json(args.synth)))
 
 
 def _trained_or_loaded(
@@ -89,12 +94,8 @@ def _metrics_payload(report, cfg: TrainConfig, attack: dict | None = None) -> di
 # ------------------------------------------------------------ subcommands
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg_dict = _read_json(args.synth_config) if args.synth_config else {}
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if "dims" in cfg_dict:
-        cfg_dict["dims"] = tuple(cfg_dict["dims"])
-    cfg = SynthConfig(**cfg_dict)
+    file_cfg = _read_json(args.synth_config) if args.synth_config else {}
+    cfg = _config(SynthConfig, file_cfg, **_given(args, SynthConfig))
     dataset = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

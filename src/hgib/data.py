@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import DataError
+from .errors import DataError, check_field_types
 from .hypergraph import Hypergraph, build_knn_hyperedges, concat_hypergraphs
 from .seeding import substream
 
@@ -58,6 +58,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n < 2 * self.num_classes:
             raise ValueError("need at least two vertices per class")
         if self.separation < 0 or self.within_std <= 0:

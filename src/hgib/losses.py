@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS, Tensor
-from .errors import ShapeError
+from .autodiff import Tensor
+from .errors import ShapeError, check_field_types
 
 
 @dataclass
@@ -23,38 +23,10 @@ class LossConfig:
     gamma: float = 0.5       # focal exponent
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("mu", "xi", "beta", "alpha", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-def _mask_column(mask: np.ndarray) -> tuple[Tensor, int]:
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("empty mask")
-    return Tensor(mask.astype(np.float64).reshape(-1, 1)), count
-
-
-def _check_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    n, c = logits.shape
-    if labels.shape[0] != n:
-        raise ValueError("label count does not match logit rows")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError("label out of range")
-    return labels
-
-
-def true_class_probs(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax probability of each vertex's labeled class, as an n x 1 column.
-    A reference for `ce_focal_loss`, which works in log space instead."""
-    labels = _check_labels(logits, labels)
-    n, c = logits.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    probs = ad.row_softmax(logits)
-    return ad.matmul(ad.mul(probs, Tensor(onehot)), Tensor(np.ones((c, 1))))
 
 
 def ce_focal_loss(
@@ -72,7 +44,11 @@ def ce_focal_loss(
     softmax, so neither cancels or clamps: a confidently wrong vertex keeps
     its full gradient (s - e_y)(1 + mu alpha (q^g - g q^(g-1) p log p)),
     q = 1 - p, whose last term tends to 0 as q -> 0."""
-    labels = _check_labels(logits, labels)
+    labels = np.asarray(labels, dtype=int).reshape(-1)
+    if labels.shape[0] != logits.shape[0]:
+        raise ValueError("label count does not match logit rows")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError("label out of range")
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if mask.shape[0] != logits.shape[0]:
         raise ShapeError(f"mask of {mask.shape[0]} for {logits.shape[0]} logit rows")
@@ -113,33 +89,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tenso
     return ce_focal_loss(logits, labels, mask, 0.0, 0.0, 0.0)
 
 
-def focal_loss(
-    p_true: Tensor, alpha: float, gamma: float, mask: np.ndarray
-) -> Tensor:
-    """Mean over masked vertices of -alpha (1 - p)^gamma log p."""
-    mcol, count = _mask_column(mask)
-    p = ad.clip(p_true, EPS, 1.0 - EPS)
-    ones = Tensor(np.ones(p.shape))
-    terms = ad.mul(ad.power(ad.sub(ones, p), gamma), ad.neg(ad.log(p)))
-    return ad.scale(ad.tsum(ad.mul(terms, mcol)), alpha / count)
-
-
-def kl_bernoulli_half(p: Tensor) -> Tensor:
-    """Elementwise KL(Bernoulli(p) || Bernoulli(0.5)), inputs clamped away from {0,1}."""
-    p = ad.clip(p, EPS, 1.0 - EPS)
-    ones = Tensor(np.ones(p.shape))
-    q = ad.sub(ones, p)
-    return ad.add(
-        ad.mul(p, ad.log(ad.scale(p, 2.0))),
-        ad.mul(q, ad.log(ad.scale(q, 2.0))),
-    )
-
-
 def kl_sigmoid_half(z: Tensor) -> Tensor:
     """Mean over entries of KL(Bernoulli(sigmoid(z)) || Bernoulli(0.5)) in
     closed form, log 2 + sigmoid(z) z - softplus(z), as one tape node; its
-    gradient is sigmoid (1 - sigmoid) z / N. `kl_bernoulli_half` is the
-    reference."""
+    gradient is sigmoid (1 - sigmoid) z / N."""
     if z.data.size == 0:
         raise ShapeError("KL of an empty tensor")
     x = z.data

@@ -22,10 +22,6 @@ class ModelState:
     projectors: list[Tensor]
 
     @property
-    def num_layers(self) -> int:
-        return len(self.thetas)
-
-    @property
     def params(self) -> list[Tensor]:
         return self.thetas + self.projectors
 
@@ -108,22 +104,26 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """The saved state, checked to form a chain: theta_i's rows are the
-    previous layer's width, and each w_out_i maps theta_i's width to one
-    common class count."""
+    """The saved state, checked to be a list of {name, rows, cols, values}
+    objects naming theta_i and w_out_i for i < n, and to form a chain:
+    theta_i's rows are the previous layer's width, and each w_out_i maps
+    theta_i's width to one common class count."""
     with open(path) as fh:
         payload = json.load(fh)
     tensors = {}
-    for entry in payload:
-        arr = np.array(entry["values"]).reshape(entry["rows"], entry["cols"])
-        tensors[entry["name"]] = Tensor(arr, requires_grad=True)
-    n_layers = sum(1 for name in tensors if name.startswith("theta_"))
+    try:
+        for entry in payload:
+            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["rows"], entry["cols"])
+            tensors[entry["name"]] = Tensor(arr, requires_grad=True)
+        n_layers = len(tensors) // 2
+        state = ModelState(
+            thetas=[tensors["theta_%d" % i] for i in range(n_layers)],
+            projectors=[tensors["w_out_%d" % i] for i in range(n_layers)],
+        )
+    except (TypeError, KeyError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint: {exc!r}") from exc
     if n_layers == 0 or len(tensors) != 2 * n_layers:
         raise DataError("malformed checkpoint")
-    state = ModelState(
-        thetas=[tensors["theta_%d" % i] for i in range(n_layers)],
-        projectors=[tensors["w_out_%d" % i] for i in range(n_layers)],
-    )
     num_classes = state.projectors[0].shape[1]
     for i, (theta, w_out) in enumerate(zip(state.thetas, state.projectors)):
         if i and theta.shape[0] != state.thetas[i - 1].shape[1]:

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step
 from .data import Dataset, fuse_and_build, normalize
-from .errors import DataError
+from .errors import DataError, check_field_types
 from .hypergraph import Hypergraph
 from .losses import LossConfig
 from .metrics import MetricsReport
@@ -33,6 +33,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise ValueError("epochs >= 1 required")
         if not 0.0 < self.train_fraction <= 1.0:

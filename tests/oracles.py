@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the library:
-finite differences for gradients, loop-based spatial convolution,
-brute-force kNN incidence and dense propagation, trapezoidal ROC
-integration. None of these share code with hgib."""
+finite differences for gradients, closed forms of the loss terms,
+loop-based spatial convolution, brute-force kNN incidence and dense
+propagation, trapezoidal ROC integration. None of these share code with
+hgib."""
 
 from __future__ import annotations
 
@@ -37,6 +38,24 @@ def assert_close_gradients(analytic, numeric, rel=1e-4):
         err = np.abs(a - f)
         bound = rel * (1.0 + np.abs(f))
         assert (err <= bound).all(), f"max grad error {err.max():.3e}"
+
+
+def ce_focal_oracle(logits, labels, mask, mu, alpha, gamma):
+    """Mean over masked rows of -log p + mu alpha (1 - p)^gamma (-log p),
+    p the softmax probability of the row's label."""
+    x = np.asarray(logits, dtype=float)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    p = (e / e.sum(axis=1, keepdims=True))[np.arange(x.shape[0]), labels]
+    p = p[np.asarray(mask, dtype=bool)]
+    return np.mean(-np.log(p) * (1.0 + mu * alpha * (1.0 - p) ** gamma))
+
+
+def kl_half_oracle(z):
+    """Mean over entries of KL(Bernoulli(p) || Bernoulli(1/2)) =
+    p log 2p + q log 2q, with p = 1 / (1 + e^-z) and q = 1 - p."""
+    p = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    q = 1.0 - p
+    return np.mean(p * np.log(2.0 * p) + q * np.log(2.0 * q))
 
 
 def spatial_conv_oracle(H, X, theta):

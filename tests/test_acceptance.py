@@ -63,11 +63,9 @@ def test_criterion_1_gradient_correctness():
             loss = losses.total_loss(
                 logits, per_layer, labels, mask, LossConfig()
             )
-            extras = ad.add(
-                ad.tmean(ad.sub(ad.neg(ad.scale(a, 2.0)), ad.mul(a, b))),
-                ad.tsum(ad.mul(ad.row_softmax(ad.matmul(a, b)), ad.log(a))),
-            )
-            return ad.add(loss, ad.add(extras, ad.tmean(ad.relu(ad.sigmoid(b)))))
+            # the ops the objective does not reach: row_softmax and tsum
+            extras = ad.tsum(ad.matmul(ad.row_softmax(ad.matmul(a, b)), ad.matmul(b, a)))
+            return ad.weighted_sum([loss, extras], [1.0, 0.5])
 
         loss = build()
         loss.backward()
@@ -105,12 +103,15 @@ def test_criterion_2_convolution_oracle():
 
 
 def test_criterion_3_loss_closed_forms():
-    kl_half = float(losses.kl_bernoulli_half(Tensor([[0.5]])).data[0, 0])
+    kl_half = float(losses.kl_sigmoid_half(Tensor([[0.0]])).data[0, 0])
     assert kl_half == pytest.approx(0.0, abs=1e-12)
-    kl_09 = float(losses.kl_bernoulli_half(Tensor([[0.9]])).data[0, 0])
+    kl_09 = float(losses.kl_sigmoid_half(Tensor([[np.log(9.0)]])).data[0, 0])   # sigmoid = 0.9
     assert kl_09 == pytest.approx(0.36806, abs=1e-5)
+    # p(label 0) = 1 / (1 + 3) = 0.25; the focal term is the mu = 1 excess
+    quarter = Tensor([[0.0, np.log(3.0)]])
     focal = float(
-        losses.focal_loss(Tensor([[0.25]]), alpha=2.0, gamma=0.5, mask=[True]).data[0, 0]
+        losses.ce_focal_loss(quarter, [0], [True], 1.0, 2.0, 0.5).data[0, 0]
+        - losses.ce_focal_loss(quarter, [0], [True], 0.0, 2.0, 0.5).data[0, 0]
     )
     assert focal == pytest.approx(2.4012, abs=1e-4)
     ce = float(

@@ -1,5 +1,8 @@
+import inspect
 import json
 import os
+import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,8 +10,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import hgib.autodiff
 import hgib.cli
 import hgib.data
+import hgib.losses
 import hgib.trainer
 from hgib import (
     AttackConfig,
@@ -88,6 +93,15 @@ class TestSynth:
         assert (out / "modality_2.csv").exists()
         assert (out / "labels.csv").exists()
         assert (out / "synth.json").exists()
+
+    @pytest.mark.parametrize("config", [{"nope": 1}, {"n": "x"}, {"n": 60.5}, {"dims": 5}, [1, 2]])
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, command):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(config))
+        flag = "--synth" if command == "train" else "--synth-config"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_roundtrip_into_train(self, tmp_path, synth_cfg):
         out = tmp_path / "run"
@@ -238,7 +252,10 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "config",
-        [{"loss": {"lambda": 1.0}}, {"epochs": "ten"}, {"hidden_dims": 64}, {"loss": 5}, [1, 2]],
+        [
+            {"loss": {"lambda": 1.0}}, {"epochs": "ten"}, {"hidden_dims": 64}, {"loss": 5}, [1, 2],
+            {"epochs": 2.5}, {"lr_initial": "x", "epochs": 2}, {"epochs": True}, {"hidden_dims": [64.5]},
+        ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, synth_cfg, capsys, config):
         cfg = tmp_path / "bad.json"
@@ -256,6 +273,34 @@ class TestTrain:
         assert names == ["checkpoint.json", "metrics.json", "run.json"]
         assert all(os.path.dirname(src) == str(out) for src, _ in replaced)
         assert sorted(os.listdir(out)) == names
+
+
+class TestLibraryHoldsOnlyWhatRuns:
+    # `tsum` runs on no path of the program: the benchmark's per-layer trace
+    # reduces each conv output with it (hgibbench/workloads.py, isolated_backward)
+    EXEMPT = {"hgib.autodiff.tsum"}
+
+    def test_train_and_eval_call_every_public_op_and_loss(self, tmp_path, monkeypatch):
+        public = {}   # id(function) -> (function, qualified name)
+        for module in (hgib.autodiff, hgib.losses):
+            for name, fn in vars(module).items():
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
+                    public[id(fn)] = (fn, f"{module.__name__}.{name}")
+        calls = Counter()
+        for modname, module in list(sys.modules.items()):
+            if modname != "hgib" and not modname.startswith("hgib."):
+                continue
+            for attr, value in list(vars(module).items()):
+                hit = public.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, counted(calls, hit[1], value))
+        run = ["--synth", "default", "--epochs", "1", "--seed", "1"]
+        assert main(["train", *run, "--out", str(tmp_path / "train")]) == 0
+        checkpoint = str(tmp_path / "train" / "checkpoint.json")
+        assert main(["eval", *run, "--checkpoint", checkpoint, "--out", str(tmp_path / "eval")]) == 0
+        names = {name for _, name in public.values()}
+        assert self.EXEMPT <= names
+        assert names - self.EXEMPT - set(calls) == set()
 
 
 class TestDenseIncidenceNeverBuilt:

@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hgib import autodiff as ad
-from hgib.autodiff import EPS, Tensor
+from hgib.autodiff import Tensor
 from hgib.errors import ShapeError
 from hgib.losses import (
     LossConfig,
     ce_focal_loss,
     cross_entropy,
-    focal_loss,
     hgib_loss,
-    kl_bernoulli_half,
     kl_sigmoid_half,
     total_loss,
-    true_class_probs,
 )
 
-from oracles import assert_close_gradients, finite_difference_grads
+from oracles import (
+    assert_close_gradients,
+    ce_focal_oracle,
+    finite_difference_grads,
+    kl_half_oracle,
+)
 
 
 def scalar(t):
@@ -77,62 +79,74 @@ class TestCrossEntropy:
         np.testing.assert_allclose(logits.grad, 13.0 * (softmax - [[0.0, 1.0, 0.0]]), atol=1e-12)
 
 
+def focal_term(logits, alpha, gamma):
+    """The mean focal term -alpha (1 - p)^gamma log p alone, p the softmax
+    probability of class 0: `ce_focal_loss` at mu = 1 minus it at mu = 0."""
+    labels = np.zeros(logits.shape[0], dtype=int)
+    mask = np.ones(logits.shape[0], dtype=bool)
+    with_focal = ce_focal_loss(logits, labels, mask, 1.0, alpha, gamma)
+    return scalar(with_focal) - scalar(ce_focal_loss(logits, labels, mask, 0.0, alpha, gamma))
+
+
+def rows_with_p(*ps):
+    """Two-class logits whose class-0 softmax probability is each p."""
+    p = np.array(ps)
+    return Tensor(np.column_stack([np.zeros_like(p), np.log((1.0 - p) / p)]))
+
+
 class TestFocal:
     def test_perfectly_classified_is_zero(self):
-        out = focal_loss(Tensor([[1.0]]), alpha=2.0, gamma=0.5, mask=[True])
-        assert scalar(out) == pytest.approx(0.0, abs=1e-5)
+        out = focal_term(Tensor([[800.0, 0.0]]), alpha=2.0, gamma=0.5)
+        assert out == pytest.approx(0.0, abs=1e-5)
 
     def test_hand_value(self):
-        out = focal_loss(Tensor([[0.25]]), alpha=2.0, gamma=0.5, mask=[True])
+        out = focal_term(rows_with_p(0.25), alpha=2.0, gamma=0.5)
         expected = 2.0 * np.sqrt(0.75) * np.log(4.0)
-        assert scalar(out) == pytest.approx(expected, abs=1e-6)
-        assert scalar(out) == pytest.approx(2.4012, abs=1e-4)
+        assert out == pytest.approx(expected, abs=1e-6)
+        assert out == pytest.approx(2.4012, abs=1e-4)
 
     def test_reduces_to_ce_term(self):
         p = 0.37
-        out = focal_loss(Tensor([[p]]), alpha=1.0, gamma=0.0, mask=[True])
-        assert scalar(out) == pytest.approx(-np.log(p), abs=1e-10)
+        out = focal_term(rows_with_p(p), alpha=1.0, gamma=0.0)
+        assert out == pytest.approx(-np.log(p), abs=1e-10)
 
     @given(st.floats(0.01, 0.98))
     def test_monotone_decreasing_in_p(self, p):
-        lo = scalar(focal_loss(Tensor([[p]]), 2.0, 0.5, [True]))
-        hi = scalar(focal_loss(Tensor([[p + 0.01]]), 2.0, 0.5, [True]))
+        lo = focal_term(rows_with_p(p), 2.0, 0.5)
+        hi = focal_term(rows_with_p(p + 0.01), 2.0, 0.5)
         assert hi <= lo
 
     def test_nonnegative(self):
-        ps = Tensor(np.linspace(0.01, 0.999, 50).reshape(-1, 1))
-        out = focal_loss(ps, 2.0, 0.5, np.ones(50, dtype=bool))
-        assert scalar(out) >= 0.0
+        out = focal_term(rows_with_p(*np.linspace(0.01, 0.999, 50)), 2.0, 0.5)
+        assert out >= 0.0
 
 
 class TestKlBernoulliHalf:
+    """KL(Bernoulli(sigmoid(z)) || Bernoulli(1/2)) through `kl_sigmoid_half`."""
+
     def test_half_is_zero(self):
-        assert scalar(kl_bernoulli_half(Tensor([[0.5]]))) == pytest.approx(0.0, abs=1e-12)
+        assert scalar(kl_sigmoid_half(Tensor([[0.0]]))) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        out = scalar(kl_bernoulli_half(Tensor([[0.9]])))
+        out = scalar(kl_sigmoid_half(Tensor([[np.log(9.0)]])))   # sigmoid = 0.9
         expected = 0.9 * np.log(1.8) + 0.1 * np.log(0.2)
         assert out == pytest.approx(expected, abs=1e-12)
         assert out == pytest.approx(0.36806, abs=1e-5)
 
     def test_clamped_limit_is_ln2(self):
-        assert scalar(kl_bernoulli_half(Tensor([[1.0]]))) == pytest.approx(
+        # a saturated sigmoid reaches the limit log 2 without a clamp
+        assert scalar(kl_sigmoid_half(Tensor([[800.0, -800.0]]))) == pytest.approx(
             np.log(2.0), abs=1e-9
         )
 
-    @given(st.floats(0.0, 1.0))
-    def test_nonnegative_and_symmetric(self, p):
-        f = scalar(kl_bernoulli_half(Tensor([[p]])))
-        g = scalar(kl_bernoulli_half(Tensor([[1.0 - p]])))
+    @given(st.floats(-800.0, 800.0))
+    def test_nonnegative_and_symmetric(self, z):
+        f = scalar(kl_sigmoid_half(Tensor([[z]])))
+        g = scalar(kl_sigmoid_half(Tensor([[-z]])))
         assert f >= -1e-15
         assert f == pytest.approx(g, abs=1e-9)
-        if abs(p - 0.5) > 1e-6:
+        if abs(z) > 1e-5:
             assert f > 0.0
-
-
-def _softmax(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 logit_rows = arrays(np.float64, (3, 3), elements=st.floats(-20.0, 20.0))
@@ -151,22 +165,13 @@ class TestFusedOps:
         logits = Tensor(x)
         fused = scalar(ce_focal_loss(logits, labels, mask, mu, alpha, gamma))
         ce = scalar(cross_entropy(logits, labels, mask))
-        # independent closed form over the whole range
-        p = _softmax(x)[np.arange(3), labels][mask]
-        log_p = np.log(p)
-        assert ce == pytest.approx(-log_p.mean(), abs=1e-12)
-        expected = np.mean(-log_p * (1.0 + mu * alpha * (1.0 - p) ** gamma))
-        assert fused == pytest.approx(expected, abs=1e-12)
-        # the composed tape reference clamps p at EPS; above it, it agrees
-        assume(p.min() >= 10 * EPS)
-        focal = scalar(focal_loss(true_class_probs(logits, labels), alpha, gamma, mask))
-        assert fused == pytest.approx(ce + mu * focal, abs=1e-12)
+        assert ce == pytest.approx(ce_focal_oracle(x, labels, mask, 0.0, 0.0, 0.0), abs=1e-12)
+        assert fused == pytest.approx(ce_focal_oracle(x, labels, mask, mu, alpha, gamma), abs=1e-12)
 
     @given(arrays(np.float64, (3, 4), elements=st.floats(-20.0, 20.0)))
     def test_kl_equals_composed_reference(self, z):
         fused = scalar(kl_sigmoid_half(Tensor(z)))
-        composed = scalar(ad.tmean(kl_bernoulli_half(ad.sigmoid(Tensor(z)))))
-        assert fused == pytest.approx(composed, abs=1e-12)
+        assert fused == pytest.approx(kl_half_oracle(z), abs=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
     def test_ce_focal_gradient_matches_finite_differences(self, gamma):
@@ -272,12 +277,13 @@ class TestTotalLoss:
         logits, per_layer, labels, mask = self._fixture()
         cfg = LossConfig()  # defaults mu=1, xi=10
         out = scalar(total_loss(logits, per_layer, labels, mask, cfg))
-        p = true_class_probs(logits, labels)
-        expected = (
-            scalar(cross_entropy(logits, labels, mask))
-            + scalar(focal_loss(p, cfg.alpha, cfg.gamma, mask))
-            + 10.0 * scalar(hgib_loss(per_layer, labels, mask, cfg.beta))
+        bottleneck = np.mean(
+            [
+                ce_focal_oracle(lg.data, labels, mask, 0.0, 0.0, 0.0) + cfg.beta * kl_half_oracle(z.data)
+                for z, lg in per_layer
+            ]
         )
+        expected = ce_focal_oracle(logits.data, labels, mask, cfg.mu, cfg.alpha, cfg.gamma) + cfg.xi * bottleneck
         assert out == pytest.approx(expected, abs=1e-10)
 
     def test_double_ce_reduction(self):

@@ -9,6 +9,7 @@ from hgib import autodiff as ad
 from hgib.autodiff import Tensor
 from hgib.errors import DataError, ShapeError
 from hgib.hypergraph import Hypergraph
+from hgib.losses import ce_focal_loss, kl_sigmoid_half
 from hgib.model import (
     ModelState,
     forward,
@@ -155,13 +156,17 @@ class TestForward:
         x = Tensor(rng.normal(size=(6, 3)))
         state = init_params(3, [4, 3], 2, substream(2, "init"))
 
+        labels = np.array([0, 1, 1, 0, 1, 0])
+        mask = np.ones(6, dtype=bool)
+        signs = Tensor([[1.0], [-2.0]])
+
         def build():
             logits, per_layer = forward(x, g, state)
-            pieces = ad.tsum(ad.mul(logits, logits))
+            pieces = [ce_focal_loss(logits, labels, mask, 1.0, 2.0, 0.5)]
             for z, layer_logits in per_layer:
-                pieces = ad.add(pieces, ad.tmean(ad.sigmoid(z)))
-                pieces = ad.add(pieces, ad.tmean(ad.row_softmax(layer_logits)))
-            return pieces
+                pieces.append(kl_sigmoid_half(z))
+                pieces.append(ad.tsum(ad.matmul(ad.row_softmax(layer_logits), signs)))
+            return ad.weighted_sum(pieces, [1.0] * len(pieces))
 
         build().backward()
         numeric = finite_difference_grads(lambda: build().data[0, 0], state.params)
@@ -199,7 +204,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        assert loaded.num_layers == state.num_layers
+        assert len(loaded.thetas) == len(state.thetas)
         for a, b in zip(state.params, loaded.params):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -238,3 +243,24 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=name):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"name": "theta_0"}],                                        # no values, rows, cols
+            {"theta_0": [1.0]},                                           # not a list
+            [1],                                                          # an entry not an object
+            [{"name": "theta_0", "rows": 1, "cols": 2, "values": [1.0]}],  # values of another size
+            [{"name": "theta_0", "rows": 1, "cols": 1, "values": ["x"]}],  # values not numbers
+            [                                                             # w_out_0 missing
+                {"name": "theta_0", "rows": 1, "cols": 1, "values": [1.0]},
+                {"name": "w_out_1", "rows": 1, "cols": 1, "values": [1.0]},
+            ],
+        ],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, payload):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
