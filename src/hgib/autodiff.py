@@ -148,8 +148,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------- elementwise
 
 def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0.0
-    return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
+    # np.maximum(-0.0, 0.0) is +0.0, as np.where(x > 0, x, 0) gives
+    out = np.maximum(t.data, 0.0)
+    return _make(out, (t,), lambda g: (g * (out > 0.0),))
 
 
 # ------------------------------------------------------------ reductions
@@ -200,18 +201,19 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators and the shared step counter."""
+    """Moment accumulators of all parameters, one after another in a flat
+    vector each, three work vectors of that length (gradient, update,
+    denominator) and the shared step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        size = sum(p.data.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size), work=np.empty((3, size)))
 
 
 def adam_step(
@@ -220,20 +222,41 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update, in place on the parameter data."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("adam_step: parameter/gradient/state count mismatch")
+    """One bias-corrected Adam update, in place on the parameter data.
+
+    The update runs once over all parameters flattened together, each
+    intermediate written to the state's work vectors in the order of
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): nothing is allocated
+    and the result is bit-identical to that expression per parameter."""
+    if len(params) != len(grads):
+        raise ShapeError("adam_step: parameter/gradient count mismatch")
+    if any(p.data.shape != g.shape for p, g in zip(params, grads)):
+        raise ShapeError("adam_step: gradient shape mismatch")
+    if sum(p.data.size for p in params) != state.m.size:
+        raise ShapeError("adam_step: parameters do not match the state")
     if lr < 0:
         raise ValueError("adam_step: negative learning rate")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.data.shape != g.shape:
-            raise ShapeError("adam_step: gradient shape mismatch")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, update, denom = state.work
+    np.concatenate([grad.reshape(-1) for grad in grads], out=g)
+    state.m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+    state.m += update
+    state.v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+    update *= g
+    state.v += update
+    np.divide(state.m, bc1, out=update)
+    update *= lr
+    np.divide(state.v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        p.data -= update[start:stop].reshape(p.data.shape)
+        start = stop

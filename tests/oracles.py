@@ -1,6 +1,6 @@
 """Independent reference implementations used to check the library:
-finite differences for gradients, closed forms of the loss terms,
-loop-based spatial convolution, brute-force kNN incidence and dense
+finite differences for gradients, textbook Adam, closed forms of the loss
+terms, loop-based spatial convolution, brute-force kNN incidence and dense
 propagation, trapezoidal ROC integration. None of these share code with
 hgib."""
 
@@ -38,6 +38,23 @@ def assert_close_gradients(analytic, numeric, rel=1e-4):
         err = np.abs(a - f)
         bound = rel * (1.0 + np.abs(f))
         assert (err <= bound).all(), f"max grad error {err.max():.3e}"
+
+
+def adam_oracle(params, grads, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam (Kingma & Ba, Algorithm 1), one
+    parameter at a time: `grads[t][i]` is parameter i's gradient at step
+    t + 1 and `lrs[t]` that step's learning rate. Returns the parameters."""
+    params = [np.array(p, dtype=float) for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (step_grads, lr) in enumerate(zip(grads, lrs), start=1):
+        for i, g in enumerate(step_grads):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            m_hat = m[i] / (1 - beta1 ** t)
+            v_hat = v[i] / (1 - beta2 ** t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
 
 
 def ce_focal_oracle(logits, labels, mask, mu, alpha, gamma):

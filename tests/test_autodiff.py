@@ -6,7 +6,12 @@ from hgib.autodiff import AdamState, Tensor, adam_step
 from hgib.errors import NonFiniteError, ShapeError
 from hgib.losses import ce_focal_loss, kl_sigmoid_half
 
-from oracles import assert_close_gradients, finite_difference_grads
+from oracles import adam_oracle, assert_close_gradients, finite_difference_grads
+
+
+def bits(a):
+    """The float64 array's bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 class TestMatmul:
@@ -63,6 +68,18 @@ class TestElementwise:
         x = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
         once = ad.relu(x).data
         np.testing.assert_array_equal(ad.relu(ad.relu(x)).data, once)
+
+    def test_relu_bit_equal_to_where(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(40, 16))
+        x[::3] = 0.0
+        x[1::3, ::2] = -0.0
+        g = rng.normal(size=x.shape)
+        g[::5] = -0.0
+        out = ad.relu(Tensor(x, requires_grad=True))
+        np.testing.assert_array_equal(bits(out.data), bits(np.where(x > 0, x, 0)))
+        (grad,) = out._vjp(g)
+        np.testing.assert_array_equal(bits(grad), bits(g * (x > 0)))
 
     def test_nonfinite_output_rejected(self):
         big = Tensor([[1e308]])
@@ -209,6 +226,27 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
             adam_step([p], [np.ones((2, 2))], state, lr=0.1)
+
+    def test_bit_identical_to_textbook_adam(self):
+        rng = np.random.default_rng(8)
+        shapes = [(5, 4), (4, 4), (4, 3), (1, 1)]
+        init = [rng.normal(size=s) for s in shapes]
+        steps = 300
+        grads = [[rng.normal(size=s) * 10.0 ** rng.integers(-8, 4) for s in shapes] for _ in range(steps)]
+        lrs = [1e-2 * (1.0 - t / steps) for t in range(steps)]
+        params = [Tensor(a.copy(), requires_grad=True) for a in init]
+        state = AdamState.for_params(params)
+        for step_grads, lr in zip(grads, lrs):
+            adam_step(params, step_grads, state, lr)
+        for p, expected in zip(params, adam_oracle(init, grads, lrs)):
+            assert np.array_equal(bits(p.data), bits(expected))
+
+    def test_state_of_other_params_rejected(self):
+        state = AdamState.for_params([Tensor([[1.0, 2.0]], requires_grad=True)])
+        p = Tensor([[1.0]], requires_grad=True)
+        with pytest.raises(ShapeError):
+            adam_step([p], [np.ones((1, 1))], state, lr=0.1)
+        assert state.step == 0 and p.data[0, 0] == 1.0
 
     def test_step_counter_increases(self):
         p = Tensor([[1.0]], requires_grad=True)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hgib import autodiff as ad
+from hgib import losses
 from hgib.autodiff import Tensor
 from hgib.errors import ShapeError
 from hgib.losses import (
@@ -134,10 +135,14 @@ class TestKlBernoulliHalf:
         assert out == pytest.approx(0.36806, abs=1e-5)
 
     def test_clamped_limit_is_ln2(self):
-        # a saturated sigmoid reaches the limit log 2 without a clamp
-        assert scalar(kl_sigmoid_half(Tensor([[800.0, -800.0]]))) == pytest.approx(
-            np.log(2.0), abs=1e-9
-        )
+        # a saturated sigmoid reaches the limit log 2 exactly, without a
+        # clamp and without an overflow on the way
+        z = Tensor([[800.0, -800.0]], requires_grad=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = kl_sigmoid_half(z)
+            out.backward()
+        assert scalar(out) == np.log(2.0)
+        np.testing.assert_array_equal(z.grad, [[0.0, 0.0]])
 
     @given(st.floats(-800.0, 800.0))
     def test_nonnegative_and_symmetric(self, z):
@@ -147,6 +152,46 @@ class TestKlBernoulliHalf:
         assert f == pytest.approx(g, abs=1e-9)
         if abs(z) > 1e-5:
             assert f > 0.0
+
+
+class TestKlOneExp:
+    """`kl_sigmoid_half` as log 2 - a e s - log1p(e), a = |z|, e = exp(-a)."""
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_exactly_zero_at_zero(self, zero):
+        z = Tensor(np.full((2, 3), zero), requires_grad=True)
+        out = kl_sigmoid_half(z)
+        assert scalar(out) == 0.0
+        out.backward()
+        assert (z.grad == 0.0).all()
+
+    @given(arrays(np.float64, (4, 5), elements=st.floats(-800.0, 800.0)))
+    def test_even_bitwise(self, z):
+        plus, minus = Tensor(z, requires_grad=True), Tensor(-z, requires_grad=True)
+        kl_plus, kl_minus = kl_sigmoid_half(plus), kl_sigmoid_half(minus)
+        assert kl_plus.data.tobytes() == kl_minus.data.tobytes()
+        kl_plus.backward()
+        kl_minus.backward()
+        np.testing.assert_array_equal(plus.grad, -minus.grad)
+
+    @given(
+        arrays(np.float64, (6, 8), elements=st.floats(0.0, 30.0)),
+        st.permutations(range(48)),
+        st.integers(20, 48),
+    )
+    def test_matches_oracle_on_relu_outputs(self, z, order, zeros):
+        # a ReLU output: non-negative, at least 20 of 48 entries (42%) exactly 0
+        z.reshape(-1)[list(order[:zeros])] = 0.0
+        assert scalar(kl_sigmoid_half(Tensor(z))) == pytest.approx(kl_half_oracle(z), abs=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        z = Tensor(
+            [[1e-3, -1e-3, 0.7, -2.5], [6.0, -11.0, 20.0, -0.2], [3.3, 0.05, -4.0, 9.5]],
+            requires_grad=True,
+        )
+        kl_sigmoid_half(z).backward()
+        numeric = finite_difference_grads(lambda: kl_sigmoid_half(z).data[0, 0], [z])
+        assert_close_gradients([z.grad], numeric)
 
 
 logit_rows = arrays(np.float64, (3, 3), elements=st.floats(-20.0, 20.0))
@@ -168,7 +213,7 @@ class TestFusedOps:
         assert ce == pytest.approx(ce_focal_oracle(x, labels, mask, 0.0, 0.0, 0.0), abs=1e-12)
         assert fused == pytest.approx(ce_focal_oracle(x, labels, mask, mu, alpha, gamma), abs=1e-12)
 
-    @given(arrays(np.float64, (3, 4), elements=st.floats(-20.0, 20.0)))
+    @given(arrays(np.float64, (3, 4), elements=st.floats(-30.0, 30.0)))
     def test_kl_equals_composed_reference(self, z):
         fused = scalar(kl_sigmoid_half(Tensor(z)))
         assert fused == pytest.approx(kl_half_oracle(z), abs=1e-12)
@@ -308,6 +353,25 @@ class TestTotalLoss:
         build().backward()
         numeric = finite_difference_grads(lambda: build().data[0, 0], [z1, w1])
         assert_close_gradients([z1.grad, w1.grad], numeric)
+
+    def test_labels_checked_once(self, monkeypatch):
+        checks, terms = [], []
+        check, ce_focal = losses._check_labels, losses.ce_focal_loss
+        monkeypatch.setattr(losses, "_check_labels", lambda *a: checks.append(a) or check(*a))
+        monkeypatch.setattr(losses, "ce_focal_loss", lambda *a: terms.append(a) or ce_focal(*a))
+        logits, per_layer, labels, mask = self._fixture()
+        total_loss(logits, per_layer, labels, mask, LossConfig())
+        # three CE terms (final, one per layer) share one label and mask check
+        assert (len(checks), len(terms)) == (1, 3)
+
+    def test_checked_labels_bound_to_their_shape(self):
+        logits, per_layer, labels, mask = self._fixture()
+        labeled = losses._check_labels(labels, mask, logits.shape)
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((5, 3))), labeled, None)
+        with pytest.raises(ShapeError):
+            cross_entropy(logits, labeled, mask)
+        assert scalar(cross_entropy(logits, labeled, None)) == scalar(cross_entropy(logits, labels, mask))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

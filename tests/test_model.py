@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hgib import autodiff as ad
 from hgib.autodiff import Tensor
@@ -207,6 +210,39 @@ class TestCheckpoint:
         assert len(loaded.thetas) == len(state.thetas)
         for a, b in zip(state.params, loaded.params):
             np.testing.assert_array_equal(a.data, b.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_exact(self, data):
+        widths = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4), label="widths")
+        classes = data.draw(st.integers(1, 4), label="classes")
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+            st.floats(-1e300, 1e300),
+        )
+
+        def matrix(rows, cols):
+            return Tensor(data.draw(arrays(np.float64, (rows, cols), elements=values)), requires_grad=True)
+
+        state = ModelState(
+            thetas=[matrix(a, b) for a, b in zip(widths, widths[1:])],
+            projectors=[matrix(b, classes) for b in widths[1:]],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.json"
+            save_checkpoint(state, path)
+            payload = json.loads(path.read_text())
+            loaded = load_checkpoint(path)
+        layers = len(widths) - 1
+        names = [f"theta_{i}" for i in range(layers)] + [f"w_out_{i}" for i in range(layers)]
+        assert [sorted(entry) for entry in payload] == [["cols", "name", "rows", "values"]] * len(names)
+        assert [(e["name"], e["rows"], e["cols"]) for e in payload] == [
+            (name, *t.shape) for name, t in zip(names, state.params)
+        ]
+        assert len(loaded.params) == len(state.params)
+        for saved, back in zip(state.params, loaded.params):
+            assert back.shape == saved.shape
+            assert back.data.tobytes() == saved.data.tobytes()
 
     def test_write_is_atomic_and_bytes_unchanged(self, tmp_path, replaced):
         state = init_params(5, [4, 3], 2, substream(3, "init"))
