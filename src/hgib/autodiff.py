@@ -80,11 +80,11 @@ class Tensor:
                         continue
                     key = id(parent)
                     if key in adjoint:
-                        adjoint[key] = adjoint[key] + pg
+                        adjoint[key] += pg   # pg is the VJP's own array (see _make)
                     else:
                         adjoint[key] = pg
             elif node.requires_grad:
-                node.grad = node.grad + g
+                node.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -114,6 +114,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """The tape node of an op's output `data`. `vjp(g)` returns one gradient
+    per parent, or None, and each is a fresh array: not `g`, not an array
+    the op keeps, and not one returned for another parent. `backward` sums
+    adjoints into them in place."""
     if not np.isfinite(data).all():
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)

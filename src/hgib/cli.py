@@ -169,34 +169,30 @@ def cmd_attack(args: argparse.Namespace) -> int:
 _SWEEP_ERRORS = (HgibError, ValueError)
 
 
-def _seed_evaluator(args: argparse.Namespace, dataset: Dataset, cfg: TrainConfig):
+def _seed_evaluator(args: argparse.Namespace, structure: trainer.Structure, cfg: TrainConfig):
     """setting -> its report for cfg.seed. The labels grid trains once per
     fraction; the attack grid trains once here and attacks that run."""
     if args.grid == "labels":
         return lambda fraction: trainer.train(
-            dataset, replace(cfg, label_fraction=fraction)
+            structure, replace(cfg, label_fraction=fraction)
         ).metrics
-    record = trainer.train(dataset, cfg)
+    record = trainer.train(structure, cfg)
     return lambda kind: perturb.attack_evaluate(
         record.prepared, record.model_state, _attack_config(args, kind, cfg.seed)
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _train_config(args)
-    if len(args.seeds) < 2:
-        raise HgibError("sweep needs at least two --seeds values")
-    dataset = _load_dataset(args)
-    settings = args.fractions if args.grid == "labels" else args.attacks
+def _grid(args: argparse.Namespace, structure: trainer.Structure, cfg: TrainConfig, settings):
+    """Each setting's reports over the seeds, and its error or None. A
+    setting that failed for one seed is not run for later seeds."""
     reports = [[] for _ in settings]
     errors = [None] * len(settings)
     for seed in args.seeds:
-        # a setting that failed for one seed is not run for later seeds
         todo = [i for i, error in enumerate(errors) if error is None]
         if not todo:
             break
         try:
-            evaluate = _seed_evaluator(args, dataset, replace(cfg, seed=seed))
+            evaluate = _seed_evaluator(args, structure, replace(cfg, seed=seed))
         except _SWEEP_ERRORS as exc:
             for i in todo:
                 errors[i] = f"seed {seed}: {exc}"
@@ -206,7 +202,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 reports[i].append(evaluate(settings[i]))
             except _SWEEP_ERRORS as exc:
                 errors[i] = f"seed {seed}: {exc}"
-        del evaluate   # its run's graph is freed before the next seed trains
+    return reports, errors
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = _train_config(args)
+    if len(args.seeds) < 2:
+        raise HgibError("sweep needs at least two --seeds values")
+    dataset = _load_dataset(args)
+    settings = args.fractions if args.grid == "labels" else args.attacks
+    try:
+        # one structure for every seed and setting: it depends on neither
+        structure = trainer.build(dataset, cfg.k_neighbors)
+    except _SWEEP_ERRORS as exc:
+        # every row fails, with the first seed's error
+        reports, errors = [[] for _ in settings], [f"seed {args.seeds[0]}: {exc}"] * len(settings)
+    else:
+        reports, errors = _grid(args, structure, cfg, settings)
     rows = [
         {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(runs)}
         if error is None

@@ -5,7 +5,9 @@ atomic artifact writes."""
 from __future__ import annotations
 
 import csv
+import io
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,23 +105,48 @@ def load_csv(feature_paths: list, label_path) -> Dataset:
 
 
 def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
+    """The ids and the value matrix of a modality CSV, read once: the ids
+    and field counts from the lines, the values by one `np.loadtxt`. Blank
+    lines are skipped, as the csv module skips them; a file holding a quote
+    character is split into fields by the csv module."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        text = fh.read()
+    # (line number, id, field count, line whose fields after the first are the values)
+    if '"' in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows = [(reader.line_num, r[0], len(r), ",".join(["", *r[1:]])) for r in reader if r]
+        # a quoted value holding a comma is no number, and joined it reads as two
+        if any(r[3].count(",") != r[2] - 1 for r in rows[1:]):
+            raise DataError(f"{path}: unparsable value (a comma inside a value)")
+    else:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        rows = [
+            (number, line.partition(",")[0], line.count(",") + 1, line)
+            for number, line in enumerate(lines, start=1)
+            if line
+        ]
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
-    header = rows[0]
-    if not header or header[0].strip().lower() != "id":
+    _, first, width, _ = rows[0]
+    if first.strip().lower() != "id":
         raise DataError(f"{path}: first column must be 'id'")
-    ids = [r[0] for r in rows[1:]]
+    ids = [r[1] for r in rows[1:]]
     if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
+        seen = Counter(ids)
+        dup = next(i for i in ids if seen[i] > 1)
         raise DataError(f"{path}: duplicate id {dup}")
+    ragged = next((r for r in rows[1:] if r[2] != width), None)
+    if ragged is not None:
+        raise DataError(f"{path}: line {ragged[0]} has {ragged[2]} fields, the header {width}")
+    if width < 2:
+        raise DataError(f"{path}: expected at least one feature column")
     try:
-        matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        matrix = np.loadtxt(
+            [r[3] for r in rows[1:]], delimiter=",", comments=None,
+            usecols=range(1, width), ndmin=2,
+        )
     except ValueError as exc:
         raise DataError(f"{path}: unparsable value ({exc})") from exc
-    if matrix.ndim != 2 or matrix.shape[1] == 0:
-        raise DataError(f"{path}: expected at least one feature column")
     return ids, matrix
 
 
@@ -147,7 +174,10 @@ def _read_labels_csv(path) -> dict:
     for r in rows[1:]:
         if r[0] in out:
             raise DataError(f"{path}: duplicate id {r[0]}")
-        out[r[0]] = r[1].strip()
+        label = r[1].strip() if len(r) > 1 else ""
+        if not label:
+            raise DataError(f"{path}: no label for id {r[0]}")
+        out[r[0]] = label
     return out
 
 

@@ -121,11 +121,20 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
+_KNN_BLOCK = 128   # rows of distances formed and ranked at a time
+
+
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     """One hyperedge per vertex: the vertex plus its k nearest neighbors.
 
     Squared Euclidean distance rounded to 12 decimals; ties broken by
     ascending vertex index, so the result is deterministic.
+
+    The distances (|x_u|^2 + |x_w|^2) - 2 x_u.x_w are formed a block of
+    rows at a time. Rounding is monotone, so a row whose (k+1)-th smallest
+    distance rounds above its k-th has as members the k candidates at or
+    below the k-th, unrounded; only the other rows are rounded and ranked
+    by (distance, index).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -135,24 +144,38 @@ def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     n = X.shape[0]
     if not 0 <= k < n:
         raise ValueError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, np.inf)
-    np.round(d2, 12, out=d2)
-    rows = np.arange(n)[:, None]
     if k == 0:
-        nearest = np.empty((n, 0), dtype=np.intp)
-    else:
-        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        # argpartition breaks ties at the k-th distance arbitrarily: rows
-        # with more candidates at or below it than k are ranked again by
-        # (distance, index)
-        kth = d2[rows, nearest].max(axis=1)
-        tied = np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k)
+        return Hypergraph.from_members(n, np.arange(n + 1), np.arange(n))
+    sq = (X * X).sum(axis=1)
+    # one product of all rows: a product of row blocks can differ in the
+    # last bit and move a distance across a rounding boundary
+    gram2 = X @ X.T
+    gram2 *= 2.0
+    members = np.empty((n, k + 1), dtype=np.intp)
+    rows = min(_KNN_BLOCK, n)
+    d2_buf, ranked_buf = np.empty((rows, n)), np.empty((rows, n))
+    near_buf = np.empty((rows, n), dtype=bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d2, ranked, near = d2_buf[: hi - lo], ranked_buf[: hi - lo], near_buf[: hi - lo]
+        own = np.arange(hi - lo)
+        np.add(sq[lo:hi, None], sq, out=d2)
+        d2 -= gram2[lo:hi]
+        d2[own, lo + own] = np.inf
+        np.copyto(ranked, d2)
+        ranked.partition(k, axis=1)
+        kth = ranked[:, :k].max(axis=1)
+        if not np.isfinite(kth).all():
+            raise DataError("squared distances overflow")
+        np.less_equal(d2, kth[:, None], out=near)
+        # rows whose (k+1)-th nearest ties the k-th once rounded
+        tied = np.flatnonzero(np.round(ranked[:, k], 12) == np.round(kth, 12))
         if tied.size:
-            nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    members = np.sort(np.hstack([rows, nearest]), axis=1)
+            order = np.argsort(np.round(d2[tied], 12), axis=1, kind="stable")[:, :k]
+            near[tied] = False
+            near[tied[:, None], order] = True
+        near[own, lo + own] = True
+        members[lo:hi] = np.flatnonzero(near).reshape(-1, k + 1) - (own * n)[:, None]
     return Hypergraph.from_members(n, np.arange(0, n * (k + 1) + 1, k + 1), members.ravel())
 
 

@@ -80,13 +80,14 @@ def attack_evaluate(
     the configured perturbation; no retraining, and `prepared` is left as
     it was. The noise attack keeps the clean graph, the drop attack the
     clean features."""
+    structure = prepared.structure
     if cfg.kind == "drop":
-        prepared = replace(
-            prepared, graph=drop_hyperedges(prepared.graph, cfg.drop_fraction, cfg.seed)
+        structure = replace(
+            structure, graph=drop_hyperedges(structure.graph, cfg.drop_fraction, cfg.seed)
         )
     elif cfg.kind == "noise":
         noisy = inject_feature_noise(
-            prepared.features.data, cfg.rho, cfg.seed, cfg.per_vertex_max
+            structure.features.data, cfg.rho, cfg.seed, cfg.per_vertex_max
         )
-        prepared = replace(prepared, features=Tensor(noisy))
-    return evaluate_state(prepared, state)
+        structure = replace(structure, features=Tensor(noisy))
+    return evaluate_state(replace(prepared, structure=structure), state)

@@ -1,5 +1,5 @@
 """Seeded full-batch transductive training loop with stratified
-train/test/labeled splits, the prepared structure every evaluation shares,
+train/test/labeled splits, the structure every run on one dataset shares,
 and multi-seed aggregation."""
 
 from __future__ import annotations
@@ -48,16 +48,15 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Prepared:
-    """Normalized labels, fused features, hypergraph and masks of one
-    dataset under one config; training and every evaluation share it."""
+class Structure:
+    """What one dataset and k determine: the normalized dataset, the fused
+    features and the kNN hypergraph. It does not depend on the seed or the
+    label fraction, so one is built per CLI call and shared by every run."""
 
-    labels: np.ndarray
+    dataset: Dataset
+    k: int
     features: Tensor
     graph: Hypergraph
-    train_mask: np.ndarray
-    labeled_mask: np.ndarray
-    test_mask: np.ndarray
 
     @cached_property
     def propagated_features(self) -> Tensor:
@@ -65,6 +64,33 @@ class Prepared:
         and read-only. `dataclasses.replace` does not carry it over, so a
         copy with other features or another graph computes its own."""
         return Tensor.constant(self.graph.propagation() @ self.features.data)
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """A structure and one run's masks; training and every evaluation of
+    the run share it."""
+
+    structure: Structure
+    train_mask: np.ndarray
+    labeled_mask: np.ndarray
+    test_mask: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.structure.dataset.labels
+
+    @property
+    def features(self) -> Tensor:
+        return self.structure.features
+
+    @property
+    def graph(self) -> Hypergraph:
+        return self.structure.graph
+
+    @property
+    def propagated_features(self) -> Tensor:
+        return self.structure.propagated_features
 
 
 @dataclass
@@ -125,13 +151,24 @@ def split_and_mask(
     return train_mask, labeled_mask, test_mask
 
 
-def prepare(dataset: Dataset, cfg: TrainConfig) -> Prepared:
-    """Normalize, fuse and build the kNN hypergraph, then split: done once
-    per dataset and config."""
+def build(dataset: Dataset, k: int) -> Structure:
+    """Normalize, fuse and build the kNN hypergraph: the part of the
+    preparation that no seed or label fraction changes."""
     dataset = normalize(dataset)
-    features, graph = fuse_and_build(dataset, cfg.k_neighbors)
-    masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
-    return Prepared(dataset.labels, features, graph, *masks)
+    features, graph = fuse_and_build(dataset, k)
+    return Structure(dataset, k, features, graph)
+
+
+def prepare(data: Dataset | Structure, cfg: TrainConfig) -> Prepared:
+    """The structure of `data`, built here if `data` is a dataset, with the
+    masks of cfg's seed and fractions."""
+    structure = data if isinstance(data, Structure) else build(data, cfg.k_neighbors)
+    if structure.k != cfg.k_neighbors:
+        raise ValueError(f"structure built at k={structure.k}, config has k={cfg.k_neighbors}")
+    masks = split_and_mask(
+        structure.dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed
+    )
+    return Prepared(structure, *masks)
 
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:
@@ -142,15 +179,16 @@ def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport
     return metrics.evaluate(ad.row_softmax(logits), prepared.labels, prepared.test_mask)
 
 
-def train(dataset: Dataset, cfg: TrainConfig) -> RunRecord:
-    """Full protocol: prepare the structure once, train with Adam under a
-    linear lr decay to 0, evaluate on the held-out test vertices."""
+def train(data: Dataset | Structure, cfg: TrainConfig) -> RunRecord:
+    """Full protocol: prepare `data` (a dataset, or a structure shared
+    across runs), train with Adam under a linear lr decay to 0, evaluate on
+    the held-out test vertices."""
     start = time.perf_counter()
-    prepared = prepare(dataset, cfg)
+    prepared = prepare(data, cfg)
     state = model.init_params(
         in_dim=prepared.features.shape[1],
         hidden_dims=list(cfg.hidden_dims),
-        num_classes=dataset.num_classes,
+        num_classes=prepared.structure.dataset.num_classes,
         rng=substream(cfg.seed, "init"),
     )
     opt = AdamState.for_params(state.params)

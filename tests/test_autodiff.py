@@ -172,6 +172,33 @@ class TestBackward:
         ga2, gb2 = run()
         assert (ga1 == ga2).all() and (gb1 == gb2).all()
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, y: ad.matmul(x, y),
+            lambda x, y: ad.matmul(x, x),
+            lambda x, y: ad.relu(x),
+            lambda x, y: ad.row_softmax(x),
+            lambda x, y: ad.weighted_sum([ad.tsum(x), ad.tsum(y), ad.tsum(x)], [1.0, 1.0, 1.0]),
+            lambda x, y: ce_focal_loss(x, np.array([0, 2, 1]), [True, False, True], 1.0, 2.0, 0.5),
+            lambda x, y: kl_sigmoid_half(x),
+        ],
+    )
+    def test_vjp_returns_fresh_arrays(self, op):
+        # backward sums adjoints in place, so a VJP may hand back neither its
+        # g nor one array for two parents
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        out = op(x, y)
+        g = rng.normal(size=out.shape)
+        grads = out._vjp(g)
+        assert len(grads) == len(out._parents) and all(pg is not None for pg in grads)
+        for i, pg in enumerate(grads):
+            assert not np.shares_memory(pg, g)
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(pg, other)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)

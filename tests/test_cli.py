@@ -4,6 +4,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
@@ -149,6 +150,15 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "nope.csv" in err or "missing_labels.csv" in err
+
+    def test_row_without_label_exit_2(self, tmp_path, synth_cfg, capsys):
+        csv_args = synth_csv_args(tmp_path, synth_cfg)
+        labels = Path(csv_args[-1])
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join([*lines[:-1], lines[-1].split(",")[0]]) + "\n")
+        code = main(["train", *csv_args, "--epochs", "1", "--k", "5", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {labels}: no label for id v44")
 
     def test_label_fraction_flag(self, tmp_path, synth_cfg):
         out = tmp_path / "run"
@@ -582,8 +592,8 @@ class TestSweep:
             ]
         )
         assert code == 0
-        # two modalities: one kNN graph each per training
-        assert calls == {"train": 2, "knn": 4}
+        # two modalities: one kNN graph each, shared by both seeds
+        assert calls == {"train": 2, "knn": 2}
 
         monkeypatch.undo()
         dataset = generate_synthetic(SynthConfig(**json.loads(Path(synth_cfg).read_text())))
@@ -601,3 +611,53 @@ class TestSweep:
             ]
             assert row["status"] == "ok"
             assert row["metrics"] == aggregate_metrics(reports), row["setting"]
+
+    @pytest.mark.parametrize(
+        "grid, counts",
+        [
+            (["labels", "--fractions", "1.0", "0.8", "0.5"], {"train": 6, "P @ X": 1}),
+            # the noise attack propagates its own features, once per seed
+            (["attacks", "--attacks", "none", "noise"], {"train": 2, "P @ X": 3}),
+        ],
+    )
+    def test_one_structure_per_call(self, tmp_path, synth_cfg, monkeypatch, grid, counts):
+        calls = Counter()
+
+        def count_builds(owner, name):
+            prop = cached_property(counted(calls, name, getattr(owner, name).func))
+            prop.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, prop)
+
+        def count_calls(module, attr, name):
+            monkeypatch.setattr(module, attr, counted(calls, name, getattr(module, attr)))
+
+        count_calls(hgib.trainer, "train", "train")
+        count_calls(hgib.trainer, "normalize", "normalize")
+        count_calls(hgib.data, "build_knn_hyperedges", "knn")
+        count_builds(Hypergraph, "propagation_tensor")
+        count_builds(hgib.trainer.Structure, "propagated_features")
+        argv = ["sweep", "--synth", synth_cfg, "--grid", *grid, "--seeds", "1", "2"]
+        assert main([*argv, "--epochs", "2", "--k", "5", "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert all(row["status"] == "ok" for row in rows)
+        # two modalities: one kNN graph each, one P and one normalization per call
+        assert calls == {
+            "normalize": 1, "knn": 2, "propagation_tensor": 1, "train": counts["train"],
+            "propagated_features": counts["P @ X"],
+        }
+
+    @pytest.mark.parametrize(
+        "grid, settings",
+        [
+            (["labels", "--fractions", "1.0", "0.5"], [1.0, 0.5]),
+            (["attacks", "--attacks", "none", "drop"], ["none", "drop"]),
+        ],
+    )
+    def test_failed_build_fails_every_row(self, tmp_path, synth_cfg, grid, settings):
+        # k = n: the one shared build fails, and each row reports it for the
+        # first seed, as when every seed built its own graph
+        argv = ["sweep", "--synth", synth_cfg, "--grid", *grid, "--seeds", "3", "4"]
+        assert main([*argv, "--epochs", "2", "--k", "45", "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        error = "seed 3: k must satisfy 0 <= k < n, got k=45, n=45"
+        assert rows == [{"setting": s, "status": "error", "error": error} for s in settings]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +62,80 @@ class TestLoadCsv:
         labels = write(tmp_path / "y.csv", "id,label\np1,0\n")
         with pytest.raises(DataError, match="unparsable"):
             load_csv([f1], labels)
+
+    @pytest.mark.parametrize("header", ["id,a", 'id,"a,b"'])
+    def test_quoted_value_with_a_comma_unparsable(self, tmp_path, header):
+        f1 = write(tmp_path / "m1.csv", f'{header}\np1,"1,5"\n')
+        labels = write(tmp_path / "y.csv", "id,label\np1,0\n")
+        with pytest.raises(DataError, match="unparsable"):
+            load_csv([f1], labels)
+
+    @pytest.mark.parametrize("row", ["p2", "p2,", "p2, "])
+    def test_row_without_label(self, tmp_path, row):
+        f1 = write(tmp_path / "m1.csv", "id,a\np1,1\np2,2\n")
+        labels = write(tmp_path / "y.csv", f"id,label\np1,NC\n{row}\n")
+        with pytest.raises(DataError, match=r"y\.csv: no label for id p2"):
+            load_csv([f1], labels)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("id,a,b\np1,1,2\np2,3\np3,5,6\n", 3),        # a value short
+            ("id,a,b\np1,1,2\n\np2,3,4,5\n", 4),         # a value over, after a blank line
+            ("id,a\np1,1,2\np2,3,4\n", 2),                # every row one over the header
+            ("id,a\r\np1,1\r\np2\r\n", 3),              # only an id
+            ('id,a\n"p,1",1\n"p2",3,4\n', 3),             # quoted ids
+        ],
+    )
+    def test_row_width_differs_from_header(self, tmp_path, text, line):
+        f1 = write(tmp_path / "m1.csv", text)
+        labels = write(tmp_path / "y.csv", "id,label\np1,0\np2,1\np3,0\n")
+        with pytest.raises(DataError, match=rf"m1\.csv: line {line} has \d fields, the header \d"):
+            load_csv([f1], labels)
+
+    def test_duplicate_id_named_in_file_order(self, tmp_path):
+        f1 = write(tmp_path / "m1.csv", "id,a\np1,1\np2,2\np2,3\np1,4\n")
+        labels = write(tmp_path / "y.csv", "id,label\np1,0\np2,1\n")
+        with pytest.raises(DataError, match="duplicate id p1"):
+            load_csv([f1], labels)
+
+    def test_header_only_id(self, tmp_path):
+        f1 = write(tmp_path / "m1.csv", "id\np1\np2\n")
+        labels = write(tmp_path / "y.csv", "id,label\np1,0\np2,1\n")
+        with pytest.raises(DataError, match="at least one feature column"):
+            load_csv([f1], labels)
+
+    def test_values_bit_identical_to_the_csv_module(self, tmp_path):
+        # quoted ids (a comma, a quote, a line break inside), quoted values,
+        # blank lines, CRLF and CR line ends, repr floats over the whole range
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-310, 308, size=(40, 3))
+        values[0] = [-0.0, 5e-324, 0.1]
+        ids = [["v%d", "p,%d", 'q"%d', "line\n%d"][i % 4] % i for i in range(40)]
+        plain = tmp_path / "plain.csv"
+        quoted = tmp_path / "quoted.csv"
+        for path, quoting in ((plain, csv.QUOTE_MINIMAL), (quoted, csv.QUOTE_ALL)):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh, quoting=quoting)
+                w.writerow(["id", "a", "b", "c"])
+                for i, (vid, row) in enumerate(zip(ids, values)):
+                    w.writerow([vid if path is quoted else f"v{i}"] + [repr(float(v)) for v in row])
+                    if i % 9 == 0:
+                        fh.write("\r\n" if i % 2 else "\n")
+        cr = tmp_path / "cr.csv"
+        cr.write_text(plain.read_text().replace("\r\n", "\r"), newline="")
+        for path in (plain, quoted, cr):
+            with open(path, newline="") as fh:
+                rows = [r for r in csv.reader(fh) if r]
+            labels = tmp_path / "y.csv"
+            with open(labels, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["id", "label"])
+                w.writerows([r[0], "NC"] for r in rows[1:])
+            ds = load_csv([str(path)], str(labels))
+            expected = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+            assert ds.modalities[0].tobytes() == expected.tobytes(), path.name
+            assert ds.n == len(rows) - 1 == 40
 
 
 class TestNormalize:

@@ -85,6 +85,33 @@ class TestBuildKnn:
         g = build_knn_hyperedges(X, k)
         np.testing.assert_array_equal(g.incidence, knn_incidence_oracle(X, k))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 600),
+        st.integers(1, 4),
+        st.sampled_from(["normal", "integer", "duplicated"]),
+        st.data(),
+    )
+    def test_members_equal_oracle_across_row_blocks(self, seed, n, d, kind, data):
+        # distances are ranked a block of rows at a time: n up to 600 crosses
+        # several blocks, and integer or repeated rows tie at the k-th distance
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            X = rng.normal(size=(n, d))
+        elif kind == "integer":
+            X = rng.integers(0, 4, size=(n, d)).astype(float)
+        else:
+            X = rng.normal(size=(max(n // 4, 1), d))[rng.integers(0, max(n // 4, 1), size=n)]
+        k = data.draw(st.sampled_from(sorted({0, min(1, n - 1), n - 1})) | st.integers(0, n - 1))
+        g = build_knn_hyperedges(X, k)
+        np.testing.assert_array_equal(g.incidence, knn_incidence_oracle(X, k))
+
+    def test_overflowing_distances_rejected(self):
+        X = np.array([[1e200], [0.0], [1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="overflow"):
+            build_knn_hyperedges(X, k=1)
+
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             build_knn_hyperedges(np.zeros((3, 2)), k=3)

@@ -15,7 +15,7 @@ from hgib.autodiff import Tensor
 from hgib.errors import StructureError
 from hgib.hypergraph import Hypergraph
 from hgib.perturb import noise_scale
-from hgib.trainer import Prepared, evaluate_state
+from hgib.trainer import Prepared, Structure, evaluate_state
 
 from conftest import random_hypergraph
 
@@ -149,19 +149,20 @@ class TestAttackEvaluate:
         assert clean == rec.metrics
 
     def test_no_stale_propagated_input(self, trained):
-        # training filled rec.prepared's cached P @ X; an attacked copy must
-        # use its own features and graph, as a Prepared built afresh does
+        # training filled the structure's cached P @ X; an attacked copy must
+        # use its own features and graph, as a structure built afresh does
         _, rec = trained
         p = rec.prepared
-        assert "propagated_features" in vars(p)
+        s = p.structure
+        assert "propagated_features" in vars(s)
         masks = (p.train_mask, p.labeled_mask, p.test_mask)
         noise = AttackConfig(kind="noise", rho=0.5, seed=2)
         noisy = inject_feature_noise(p.features.data, noise.rho, noise.seed)
-        fresh = Prepared(p.labels, Tensor(noisy), p.graph, *masks)
+        fresh = Prepared(Structure(s.dataset, s.k, Tensor(noisy), s.graph), *masks)
         assert attack_evaluate(p, rec.model_state, noise) == evaluate_state(fresh, rec.model_state)
         drop = AttackConfig(kind="drop", drop_fraction=0.5, seed=2)
         dropped = drop_hyperedges(p.graph, drop.drop_fraction, drop.seed)
-        fresh = Prepared(p.labels, p.features, dropped, *masks)
+        fresh = Prepared(Structure(s.dataset, s.k, s.features, dropped), *masks)
         assert attack_evaluate(p, rec.model_state, drop) == evaluate_state(fresh, rec.model_state)
         assert attack_evaluate(p, rec.model_state, noise) != rec.metrics
 

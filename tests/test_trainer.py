@@ -12,7 +12,7 @@ from hgib import (
     split_and_mask,
     train,
 )
-from hgib.trainer import aggregate_metrics, prepare
+from hgib.trainer import aggregate_metrics, build, prepare
 
 
 def tiny_cfg(**kwargs):
@@ -146,6 +146,24 @@ class TestPrepared:
         )
         with pytest.raises(ValueError):
             px.data[0, 0] = 1.0
+
+    def test_one_structure_serves_every_seed_and_fraction(self, small_dataset):
+        structure = build(small_dataset, 5)
+        a = prepare(structure, tiny_cfg(seed=1))
+        b = prepare(structure, tiny_cfg(seed=2, label_fraction=0.5))
+        assert a.structure is b.structure
+        assert a.propagated_features is b.propagated_features
+        assert not (a.labeled_mask == b.labeled_mask).all()
+        with pytest.raises(ValueError, match="k=5"):
+            prepare(structure, tiny_cfg(k_neighbors=4))
+
+    def test_training_on_a_shared_structure_equals_a_fresh_build(self, small_dataset):
+        structure = build(small_dataset, 5)
+        for seed, fraction in ((1, 1.0), (2, 0.5)):
+            cfg = tiny_cfg(seed=seed, label_fraction=fraction)
+            shared, fresh = train(structure, cfg), train(small_dataset, cfg)
+            assert shared.loss_trace == fresh.loss_trace
+            assert shared.metrics == fresh.metrics
 
     def test_epoch_tape_size(self, small_dataset):
         # one epoch's loss at the default model and objective: 7 nodes of
