@@ -96,23 +96,34 @@ class Hypergraph:
 
         P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
         co-membership counts from one `bincount` over the member pairs of
-        each edge size (a kNN graph has one), divided by that size."""
+        each edge size (a kNN graph has one), divided by that size, summed
+        over the sizes in ascending order, then divided by dv. P takes over
+        the first size's count buffer (int64 and float64 have one width) and
+        is formed in it a chunk of rows at a time, so a kNN graph's build
+        holds no n x n array but that one."""
         if (self.vertex_degrees < 1).any():
             raise StructureError("vertex with no hyperedge membership")
         n = self.num_vertices
-        P = None
-        for size in np.unique(self.edge_degrees):
+        rows = max(1, _P_CHUNK // n)
+        dv = self.vertex_degrees[:, None]
+        sizes = np.unique(self.edge_degrees)
+        for i, size in enumerate(sizes):
             starts = self.indptr[:-1][self.edge_degrees == size]
             members = self.indices[starts[:, None] + np.arange(size)]
             pairs = (members * n)[:, :, None] + members[:, None, :]
-            counts = np.bincount(pairs.ravel(), minlength=n * n)
-            del pairs   # the largest array here; freed before P is allocated
-            if P is None:
-                P = counts / size
-            else:
-                P += counts / size
-        P = P.reshape(n, n)
-        P /= self.vertex_degrees[:, None]
+            del members
+            counts = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+            del pairs   # the largest array here; freed before P is formed
+            if i == 0:
+                P = counts.view(np.float64)
+            for lo in range(0, n, rows):
+                chunk = counts[lo : lo + rows] / size
+                if i > 0:
+                    chunk += P[lo : lo + rows]
+                if i == sizes.size - 1:
+                    chunk /= dv[lo : lo + rows]
+                P[lo : lo + rows] = chunk
+            del counts
         return Tensor.constant(P)
 
 
@@ -121,7 +132,8 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-_KNN_BLOCK = 128   # rows of distances formed and ranked at a time
+_KNN_BLOCK = 64      # rows of distances formed and ranked at a time
+_P_CHUNK = 1 << 16   # entries of P converted from counts at a time
 
 
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
@@ -147,20 +159,24 @@ def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:
     if k == 0:
         return Hypergraph.from_members(n, np.arange(n + 1), np.arange(n))
     sq = (X * X).sum(axis=1)
-    # one product of all rows: a product of row blocks can differ in the
-    # last bit and move a distance across a rounding boundary
-    gram2 = X @ X.T
-    gram2 *= 2.0
+    # Each block's products are one GEMM, (2X)[lo:hi] @ X^T, against an X^T
+    # made contiguous once; no n x n Gram matrix is built. Doubling is exact,
+    # so each product is 2 x_u.x_w bit for bit, and the GEMM sums it over the
+    # features in one order whichever block holds row u. Every block has
+    # `rows` rows (the last overlaps the one before): a 1-row product would
+    # run as a GEMV, which sums in another order.
+    X2, XT = 2.0 * X, np.ascontiguousarray(X.T)
     members = np.empty((n, k + 1), dtype=np.intp)
     rows = min(_KNN_BLOCK, n)
-    d2_buf, ranked_buf = np.empty((rows, n)), np.empty((rows, n))
-    near_buf = np.empty((rows, n), dtype=bool)
+    d2, ranked = np.empty((rows, n)), np.empty((rows, n))
+    near = np.empty((rows, n), dtype=bool)
+    own = np.arange(rows)
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d2, ranked, near = d2_buf[: hi - lo], ranked_buf[: hi - lo], near_buf[: hi - lo]
-        own = np.arange(hi - lo)
+        lo = min(lo, n - rows)
+        hi = lo + rows
+        np.matmul(X2[lo:hi], XT, out=ranked)   # the products, until the ranking
         np.add(sq[lo:hi, None], sq, out=d2)
-        d2 -= gram2[lo:hi]
+        d2 -= ranked
         d2[own, lo + own] = np.inf
         np.copyto(ranked, d2)
         ranked.partition(k, axis=1)

@@ -145,6 +145,10 @@ def split_and_mask(
     if any(idx.size == 0 for idx in by_class_train):
         raise DataError("a class is absent from the training split")
     n_labeled = int(round(label_fraction * n_train))
+    if n_labeled == 0:
+        raise DataError(
+            f"label fraction {label_fraction} of {n_train} training vertices labels none"
+        )
     labeled_idx = np.concatenate(_stratified_take(by_class_train, n_labeled, rng))
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[labeled_idx] = True

@@ -121,6 +121,19 @@ def propagation_oracle(H):
     return dv @ H @ de @ H.T
 
 
+def propagation_by_size_oracle(H):
+    """Dv^-1 H De^-1 H^T in the library's operation order: for each edge
+    size in ascending order, the co-membership counts of that size's edges
+    (H_s H_s^T, exact integers) over the size, summed; then over dv."""
+    H = np.asarray(H, dtype=float)
+    sizes = H.sum(axis=0)
+    P = np.zeros((H.shape[0], H.shape[0]))
+    for size in np.unique(sizes):
+        H_s = H[:, sizes == size]
+        P += (H_s @ H_s.T) / size
+    return P / H.sum(axis=1)[:, None]
+
+
 def auc_trapezoid(scores, labels):
     """Area under the ROC curve by trapezoidal integration over all
     score thresholds (ties grouped)."""

@@ -160,6 +160,13 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {labels}: no label for id v44")
 
+    def test_label_fraction_labeling_none_exit_2(self, tmp_path, capsys):
+        # round(0.001 * 192) = 0: a typed error, not the loss's "empty mask"
+        argv = ["train", "--synth", "default", "--label-fraction", "0.001", "--epochs", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: label fraction 0.001 of 192 training vertices labels none\n"
+
     def test_label_fraction_flag(self, tmp_path, synth_cfg):
         out = tmp_path / "run"
         main(train_args(synth_cfg, out, "--label-fraction", "0.4"))
@@ -515,6 +522,16 @@ class TestSweep:
         assert code == 0
         bad, good = json.loads((out / "table.json").read_text())["rows"]
         assert bad == {"setting": 1.5, "status": "error", "error": "seed 1: label_fraction in (0, 1]"}
+        assert good["status"] == "ok"
+
+    def test_fraction_labeling_none_errors_alone(self, tmp_path, synth_cfg):
+        # 36 training vertices: round(0.01 * 36) = 0 labels none
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "labels", "--fractions", "0.01", "0.5"]
+        argv += ["--seeds", "1", "2", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        bad, good = json.loads((tmp_path / "table.json").read_text())["rows"]
+        error = "seed 1: label fraction 0.01 of 36 training vertices labels none"
+        assert bad == {"setting": 0.01, "status": "error", "error": error}
         assert good["status"] == "ok"
 
     def test_requires_two_seeds(self, tmp_path, synth_cfg, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hgib.errors import DataError, StructureError
 from hgib.hypergraph import Hypergraph, build_knn_hyperedges, concat_hypergraphs
 
 from conftest import random_hypergraph
-from oracles import knn_incidence_oracle, propagation_oracle
+from oracles import knn_incidence_oracle, propagation_by_size_oracle, propagation_oracle
 
 # (seed, n, k) with 0 <= k < n
 knn_cases = st.integers(2, 40).flatmap(
@@ -200,9 +202,10 @@ class TestPropagation:
     def test_equals_dense_oracle_on_ragged_graphs(self, seed, n, num_edges):
         H = random_hypergraph(np.random.default_rng(seed), n, max_edges=num_edges)
         H = H[:, H.sum(axis=0) > 0]   # with more edges than vertices, some may be empty
-        np.testing.assert_allclose(
-            Hypergraph(H).propagation(), propagation_oracle(H), rtol=1e-12, atol=1e-15
-        )
+        P = Hypergraph(H).propagation()
+        np.testing.assert_allclose(P, propagation_oracle(H), rtol=1e-12, atol=1e-15)
+        # the same operations in the same order: equal bit for bit
+        assert np.array_equal(P, propagation_by_size_oracle(H))
 
     @settings(max_examples=60, deadline=None)
     @given(knn_cases, st.integers(1, 3))
@@ -212,9 +215,9 @@ class TestPropagation:
         g = concat_hypergraphs(
             [build_knn_hyperedges(rng.normal(size=(n, 2)), k) for _ in range(modalities)]
         )
-        np.testing.assert_allclose(
-            g.propagation(), propagation_oracle(g.incidence), rtol=1e-12, atol=1e-15
-        )
+        P = g.propagation()
+        np.testing.assert_allclose(P, propagation_oracle(g.incidence), rtol=1e-12, atol=1e-15)
+        assert np.array_equal(P, propagation_by_size_oracle(g.incidence))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 15))
@@ -249,3 +252,40 @@ class TestInvariants:
         g = Hypergraph(random_hypergraph(np.random.default_rng(8), 7))
         np.testing.assert_array_equal(g.vertex_degrees, g.incidence.sum(axis=1))
         np.testing.assert_array_equal(g.edge_degrees, g.incidence.sum(axis=0))
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes traced above those held when it starts."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+class TestBuildMemory:
+    """At n = 1500 one n x n float64 array is 17 MiB, more than any other
+    array a build holds."""
+
+    n, d, k = 1500, 16, 20
+
+    def features(self, seed):
+        return np.random.default_rng(seed).normal(size=(self.n, self.d))
+
+    def test_knn_holds_no_n_by_n_array(self):
+        _, peak = traced_peak(lambda: build_knn_hyperedges(self.features(0), self.k))
+        assert peak < self.n * self.n * 8 / 4
+
+    @pytest.mark.parametrize("modalities", [1, 3])
+    def test_propagation_holds_one_n_by_n_array_and_the_pairs(self, modalities):
+        g = concat_hypergraphs(
+            [build_knn_hyperedges(self.features(m), self.k) for m in range(modalities)]
+        )
+        pairs = int((g.edge_degrees**2).sum()) * 8
+        P, peak = traced_peak(g.propagation)
+        assert P.nbytes == self.n * self.n * 8
+        assert peak <= P.nbytes + pairs + 2**20

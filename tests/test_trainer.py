@@ -12,6 +12,7 @@ from hgib import (
     split_and_mask,
     train,
 )
+from hgib.errors import DataError
 from hgib.trainer import aggregate_metrics, build, prepare
 
 
@@ -55,6 +56,12 @@ class TestSplitAndMask:
         b = split_and_mask(ds, 0.8, 0.5, seed=4)
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma, mb)
+
+    def test_label_fraction_labeling_none_rejected(self):
+        ds = self._dataset(n=10)
+        # round(0.05 * 8) = 0 labeled vertices
+        with pytest.raises(DataError, match="label fraction 0.05 of 8 training vertices"):
+            split_and_mask(ds, 0.8, 0.05, seed=1)
 
     def test_stratified(self):
         ds = self._dataset(n=30, classes=3)
