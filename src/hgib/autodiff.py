@@ -185,19 +185,6 @@ def tsum(t: Tensor) -> Tensor:
     )
 
 
-def row_softmax(t: Tensor) -> Tensor:
-    if t.data.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    shifted = t.data - t.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    return _make(
-        s,
-        (t,),
-        lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),),
-    )
-
-
 # ------------------------------------------------------------------ Adam
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

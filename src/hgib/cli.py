@@ -166,43 +166,22 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_ERRORS = (HgibError, ValueError)
-
-
-def _seed_evaluator(args: argparse.Namespace, structure: trainer.Structure, cfg: TrainConfig):
-    """setting -> its report for cfg.seed. The labels grid trains once per
-    fraction; the attack grid trains once here and attacks that run."""
+def _plan(args: argparse.Namespace) -> list[tuple]:
+    """The sweep's rows, each (setting, TrainConfig change, attack kind); a
+    change is a tuple of (field, value) pairs, so rows can share its run."""
     if args.grid == "labels":
-        return lambda fraction: trainer.train(
-            structure, replace(cfg, label_fraction=fraction)
-        ).metrics
-    record = trainer.train(structure, cfg)
-    return lambda kind: perturb.attack_evaluate(
-        record.prepared, record.model_state, _attack_config(args, kind, cfg.seed)
-    )
+        return [(f, (("label_fraction", f),), "none") for f in args.fractions]
+    return [(kind, (), kind) for kind in args.attacks]
 
 
-def _grid(args: argparse.Namespace, structure: trainer.Structure, cfg: TrainConfig, settings):
-    """Each setting's reports over the seeds, and its error or None. A
-    setting that failed for one seed is not run for later seeds."""
-    reports = [[] for _ in settings]
-    errors = [None] * len(settings)
-    for seed in args.seeds:
-        todo = [i for i, error in enumerate(errors) if error is None]
-        if not todo:
-            break
-        try:
-            evaluate = _seed_evaluator(args, structure, replace(cfg, seed=seed))
-        except _SWEEP_ERRORS as exc:
-            for i in todo:
-                errors[i] = f"seed {seed}: {exc}"
-            continue
-        for i in todo:
-            try:
-                reports[i].append(evaluate(settings[i]))
-            except _SWEEP_ERRORS as exc:
-                errors[i] = f"seed {seed}: {exc}"
-    return reports, errors
+def _attempt(errors: list, rows, seed: int, step):
+    """step(), or None after recording its error against each of `rows`."""
+    try:
+        return step()
+    except (HgibError, ValueError) as exc:
+        for i in rows:
+            errors[i] = f"seed {seed}: {exc}"
+        return None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -210,20 +189,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(args.seeds) < 2:
         raise HgibError("sweep needs at least two --seeds values")
     dataset = _load_dataset(args)
-    settings = args.fractions if args.grid == "labels" else args.attacks
-    try:
-        # one structure for every seed and setting: it depends on neither
-        structure = trainer.build(dataset, cfg.k_neighbors)
-    except _SWEEP_ERRORS as exc:
-        # every row fails, with the first seed's error
-        reports, errors = [[] for _ in settings], [f"seed {args.seeds[0]}: {exc}"] * len(settings)
-    else:
-        reports, errors = _grid(args, structure, cfg, settings)
+    plan = _plan(args)
+    reports = [[] for _ in plan]
+    errors = [None] * len(plan)
+    # one structure for every seed and row: it depends on neither, and a
+    # failed build fails every row with the first seed's error
+    structure = _attempt(
+        errors, range(len(plan)), args.seeds[0], lambda: trainer.build(dataset, cfg.k_neighbors)
+    )
+    for seed in args.seeds:
+        changes = {}   # each change trains once per seed, for its rows not yet failed
+        for i, (_, change, _) in enumerate(plan):
+            if errors[i] is None:
+                changes.setdefault(change, []).append(i)
+        for change, todo in changes.items():
+            record = _attempt(
+                errors, todo, seed,
+                lambda: trainer.train(structure, replace(cfg, seed=seed, **dict(change))),
+            )
+            if record is None:
+                continue
+            for i in todo:
+                report = _attempt(
+                    errors, [i], seed,
+                    lambda: perturb.attack_evaluate(
+                        record.prepared, record.model_state, _attack_config(args, plan[i][2], seed)
+                    ),
+                )
+                if report is not None:
+                    reports[i].append(report)
     rows = [
         {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(runs)}
         if error is None
         else {"setting": setting, "status": "error", "error": error}
-        for setting, runs, error in zip(settings, reports, errors)
+        for (setting, _, _), runs, error in zip(plan, reports, errors)
     ]
     table = {"grid": args.grid, "seeds": list(args.seeds), "rows": rows}
     _write_json(Path(args.out) / "table.json", table)

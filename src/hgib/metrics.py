@@ -45,7 +45,7 @@ def evaluate(probs, labels, mask) -> MetricsReport:
     Classes with a zero PPV/NPV denominator are excluded from the macro
     mean with a warning.
     """
-    probs = np.asarray(getattr(probs, "data", probs), dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=int).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     p = probs[mask]

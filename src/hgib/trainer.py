@@ -10,7 +10,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import autodiff as ad
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step
 from .data import Dataset, fuse_and_build, normalize
@@ -40,6 +39,10 @@ class TrainConfig:
             raise ValueError("train_fraction in (0, 1]")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError("label_fraction in (0, 1]")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(
+                f"hidden_dims needs at least one width, each >= 1, got {self.hidden_dims!r}"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -165,13 +168,13 @@ def build(dataset: Dataset, k: int) -> Structure:
 
 def prepare(data: Dataset | Structure, cfg: TrainConfig) -> Prepared:
     """The structure of `data`, built here if `data` is a dataset, with the
-    masks of cfg's seed and fractions."""
+    masks of cfg's seed and fractions. The split reads only the labels,
+    which `normalize` keeps, so a dataset is split before its build."""
+    if isinstance(data, Structure) and data.k != cfg.k_neighbors:
+        raise ValueError(f"structure built at k={data.k}, config has k={cfg.k_neighbors}")
+    dataset = data.dataset if isinstance(data, Structure) else data
+    masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
     structure = data if isinstance(data, Structure) else build(data, cfg.k_neighbors)
-    if structure.k != cfg.k_neighbors:
-        raise ValueError(f"structure built at k={structure.k}, config has k={cfg.k_neighbors}")
-    masks = split_and_mask(
-        structure.dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed
-    )
     return Prepared(structure, *masks)
 
 
@@ -180,7 +183,8 @@ def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport
     logits, _ = model.forward(
         prepared.features, prepared.graph, state, prepared.propagated_features
     )
-    return metrics.evaluate(ad.row_softmax(logits), prepared.labels, prepared.test_mask)
+    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    return metrics.evaluate(e / e.sum(axis=1, keepdims=True), prepared.labels, prepared.test_mask)
 
 
 def train(data: Dataset | Structure, cfg: TrainConfig) -> RunRecord:

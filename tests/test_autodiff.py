@@ -91,11 +91,6 @@ class TestReductions:
     def test_sum(self):
         assert ad.tsum(Tensor([[1, 2], [3, 4]])).data[0, 0] == 10
 
-    def test_row_softmax_uniform(self):
-        np.testing.assert_allclose(
-            ad.row_softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]]
-        )
-
     def test_weighted_sum(self):
         a = Tensor([[2.0]], requires_grad=True)
         b = Tensor([[-3.0]], requires_grad=True)
@@ -107,11 +102,6 @@ class TestReductions:
             ad.weighted_sum([Tensor([[1.0, 2.0]])], [1.0])
         with pytest.raises(ShapeError):
             ad.weighted_sum([a], [1.0, 2.0])
-
-    def test_row_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(5, 7), scale=30))
-        sums = ad.row_softmax(x).data.sum(axis=1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 class TestBackward:
@@ -178,7 +168,7 @@ class TestBackward:
             lambda x, y: ad.matmul(x, y),
             lambda x, y: ad.matmul(x, x),
             lambda x, y: ad.relu(x),
-            lambda x, y: ad.row_softmax(x),
+            lambda x, y: ad.tsum(x),
             lambda x, y: ad.weighted_sum([ad.tsum(x), ad.tsum(y), ad.tsum(x)], [1.0, 1.0, 1.0]),
             lambda x, y: ce_focal_loss(x, np.array([0, 2, 1]), [True, False, True], 1.0, 2.0, 0.5),
             lambda x, y: kl_sigmoid_half(x),
@@ -209,7 +199,7 @@ class TestBackward:
 
         def build():
             h = ad.matmul(ad.relu(a), b)
-            square = ad.matmul(ad.row_softmax(h), c)
+            square = ad.matmul(h, c)
             return ad.weighted_sum(
                 [
                     ad.tsum(ad.matmul(square, square)),

@@ -15,6 +15,7 @@ import hgib.autodiff
 import hgib.cli
 import hgib.data
 import hgib.losses
+import hgib.perturb
 import hgib.trainer
 from hgib import (
     AttackConfig,
@@ -160,12 +161,25 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {labels}: no label for id v44")
 
-    def test_label_fraction_labeling_none_exit_2(self, tmp_path, capsys):
-        # round(0.001 * 192) = 0: a typed error, not the loss's "empty mask"
+    def test_label_fraction_labeling_none_exit_2(self, tmp_path, capsys, monkeypatch):
+        # round(0.001 * 192) = 0: a typed error, not the loss's "empty mask",
+        # raised by the split before any kNN graph is built
+        calls = {"knn": 0}
+        knn = counted(calls, "knn", hgib.data.build_knn_hyperedges)
+        monkeypatch.setattr(hgib.data, "build_knn_hyperedges", knn)
         argv = ["train", "--synth", "default", "--label-fraction", "0.001", "--epochs", "1"]
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: label fraction 0.001 of 192 training vertices labels none\n"
+        assert calls == {"knn": 0}
+
+    @pytest.mark.parametrize("hidden_dims", [[], [0]])
+    def test_hidden_dims_without_a_width_exit_2(self, tmp_path, capsys, hidden_dims):
+        cfg = tmp_path / "hd.json"
+        cfg.write_text(json.dumps({"hidden_dims": hidden_dims}))
+        argv = ["train", "--synth", "default", "--epochs", "1", "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: hidden_dims needs at least one width")
 
     def test_label_fraction_flag(self, tmp_path, synth_cfg):
         out = tmp_path / "run"
@@ -628,6 +642,67 @@ class TestSweep:
             ]
             assert row["status"] == "ok"
             assert row["metrics"] == aggregate_metrics(reports), row["setting"]
+
+    def test_label_grid_rows_equal_explicit_runs(self, tmp_path, synth_cfg):
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "labels", "--fractions", "1.0", "0.5"]
+        argv += ["--seeds", "1", "2", "--epochs", "5", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        dataset = generate_synthetic(SynthConfig(**json.loads(Path(synth_cfg).read_text())))
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert [row["setting"] for row in rows] == [1.0, 0.5]
+        for row in rows:
+            reports = [
+                hgib.trainer.train(
+                    dataset,
+                    TrainConfig(epochs=5, k_neighbors=5, label_fraction=row["setting"], seed=s),
+                ).metrics
+                for s in (1, 2)
+            ]
+            assert row["status"] == "ok"
+            assert row["metrics"] == aggregate_metrics(reports), row["setting"]
+
+    def test_failed_training_fails_its_rows_once(self, tmp_path, synth_cfg, monkeypatch):
+        # the attack rows share one training per seed; when it fails, every
+        # row fails with it, and no later seed trains again
+        calls = {"train": 0}
+        monkeypatch.setattr(hgib.trainer, "train", counted(calls, "train", hgib.trainer.train))
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "attacks", "--label-fraction", "0.01"]
+        argv += ["--seeds", "1", "2", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == {"train": 1}
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        error = "seed 1: label fraction 0.01 of 36 training vertices labels none"
+        assert rows == [
+            {"setting": s, "status": "error", "error": error} for s in ("none", "drop", "noise")
+        ]
+
+    def test_failed_change_evaluates_none_of_its_rows(self, tmp_path, synth_cfg, monkeypatch):
+        # 0.01 fails after 0.5 has trained: only 0.5's row is evaluated,
+        # once per seed, and the failed fraction is not trained for seed 2
+        calls = {"train": 0, "evaluate": 0}
+        monkeypatch.setattr(hgib.trainer, "train", counted(calls, "train", hgib.trainer.train))
+        evaluate = counted(calls, "evaluate", hgib.perturb.attack_evaluate)
+        monkeypatch.setattr(hgib.perturb, "attack_evaluate", evaluate)
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "labels", "--fractions", "0.5", "0.01"]
+        argv += ["--seeds", "1", "2", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == {"train": 3, "evaluate": 2}
+        good, bad = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert good["status"] == "ok" and bad["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "grid", [["labels", "--fractions", "1.0", "0.5"], ["attacks", "--attacks", "none", "drop"]]
+    )
+    def test_failed_build_is_attempted_once(self, tmp_path, synth_cfg, monkeypatch, grid):
+        calls = {"build": 0, "train": 0}
+        monkeypatch.setattr(hgib.trainer, "build", counted(calls, "build", hgib.trainer.build))
+        monkeypatch.setattr(hgib.trainer, "train", counted(calls, "train", hgib.trainer.train))
+        argv = ["sweep", "--synth", synth_cfg, "--grid", *grid, "--seeds", "3", "4"]
+        assert main([*argv, "--epochs", "2", "--k", "45", "--out", str(tmp_path)]) == 0
+        assert calls == {"build": 1, "train": 0}
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        error = "seed 3: k must satisfy 0 <= k < n, got k=45, n=45"
+        assert {row["error"] for row in rows} == {error}
 
     @pytest.mark.parametrize(
         "grid, counts",

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hgib.metrics
+import hgib.trainer
 from hgib import (
     Dataset,
     LossConfig,
@@ -13,7 +15,7 @@ from hgib import (
     train,
 )
 from hgib.errors import DataError
-from hgib.trainer import aggregate_metrics, build, prepare
+from hgib.trainer import aggregate_metrics, build, evaluate_state, prepare
 
 
 def tiny_cfg(**kwargs):
@@ -141,6 +143,9 @@ class TestTrain:
             TrainConfig(label_fraction=0.0)
         with pytest.raises(ValueError):
             TrainConfig(train_fraction=1.5)
+        for hidden_dims in ((), (0,), (8, 0), (-1, 4)):
+            with pytest.raises(ValueError, match="hidden_dims"):
+                TrainConfig(hidden_dims=hidden_dims)
 
 
 class TestPrepared:
@@ -163,6 +168,20 @@ class TestPrepared:
         assert not (a.labeled_mask == b.labeled_mask).all()
         with pytest.raises(ValueError, match="k=5"):
             prepare(structure, tiny_cfg(k_neighbors=4))
+
+    def test_a_dataset_is_split_before_its_build(self, small_dataset, monkeypatch):
+        cfg = tiny_cfg(seed=3, label_fraction=0.5)
+        built = prepare(build(small_dataset, 5), cfg)
+        fresh = prepare(small_dataset, cfg)
+        for mask in ("train_mask", "labeled_mask", "test_mask"):
+            np.testing.assert_array_equal(getattr(fresh, mask), getattr(built, mask))
+
+        def no_build(*args):
+            raise AssertionError("built before the split was checked")
+
+        monkeypatch.setattr(hgib.trainer, "build", no_build)
+        with pytest.raises(DataError, match="labels none"):
+            prepare(small_dataset, tiny_cfg(label_fraction=0.001))
 
     def test_training_on_a_shared_structure_equals_a_fresh_build(self, small_dataset):
         structure = build(small_dataset, 5)
@@ -194,6 +213,38 @@ class TestPrepared:
         )
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
         assert len(ops) <= 20
+
+
+class TestEvaluateState:
+    @pytest.fixture
+    def evaluated_probs(self, monkeypatch):
+        """The probabilities each `evaluate_state` call hands to metrics."""
+        seen = []
+        evaluate = hgib.metrics.evaluate
+
+        def recording(probs, labels, mask):
+            seen.append(probs)
+            return evaluate(probs, labels, mask)
+
+        monkeypatch.setattr(hgib.metrics, "evaluate", recording)
+        return seen
+
+    def test_zero_logits_give_uniform_probabilities(self, small_dataset, evaluated_probs):
+        record = train(small_dataset, tiny_cfg(epochs=1))
+        for p in record.model_state.projectors:
+            p.data[:] = 0.0
+        evaluate_state(record.prepared, record.model_state)
+        np.testing.assert_array_equal(evaluated_probs[-1], 1.0 / 3.0)
+
+    def test_large_logits_give_rows_that_sum_to_one(self, small_dataset, evaluated_probs):
+        # logits near ±1000, past where exp overflows: the max-shift keeps them finite
+        record = train(small_dataset, tiny_cfg(epochs=1))
+        for p in record.model_state.projectors:
+            p.data *= 1e3
+        evaluate_state(record.prepared, record.model_state)
+        probs = evaluated_probs[-1]
+        assert np.isfinite(probs).all() and probs.min() >= 0.0
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestMultiSeed:
