@@ -119,20 +119,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     record = trainer.train(_load_dataset(args), cfg)
+    report = trainer.evaluate_state(record.prepared, record.model_state)
     out = Path(args.out)
     run_doc = {
-        "config": record.config,
+        "config": cfg.to_dict(),
         "loss_trace": record.loss_trace,
-        "metrics": asdict(record.metrics),
+        "metrics": asdict(report),
         "timing": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "duration_seconds": record.duration_seconds,
         },
     }
     _write_json(out / "run.json", run_doc)
-    _write_json(out / "metrics.json", _metrics_payload(record.metrics, cfg))
+    _write_json(out / "metrics.json", _metrics_payload(report, cfg))
     model.save_checkpoint(record.model_state, out / "checkpoint.json")
-    print(f"macro AUC {record.metrics.auc_average:.4f} -> {out}")
+    print(f"macro AUC {report.auc_average:.4f} -> {out}")
     return 0
 
 
@@ -188,6 +189,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     if len(args.seeds) < 2:
         raise HgibError("sweep needs at least two --seeds values")
+    repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
+    if repeated:
+        raise HgibError(f"--seeds repeats {', '.join(map(str, repeated))}; each seed runs once")
     dataset = _load_dataset(args)
     plan = _plan(args)
     reports = [[] for _ in plan]
@@ -308,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except (HgibError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,28 +79,10 @@ class Prepared:
     labeled_mask: np.ndarray
     test_mask: np.ndarray
 
-    @property
-    def labels(self) -> np.ndarray:
-        return self.structure.dataset.labels
-
-    @property
-    def features(self) -> Tensor:
-        return self.structure.features
-
-    @property
-    def graph(self) -> Hypergraph:
-        return self.structure.graph
-
-    @property
-    def propagated_features(self) -> Tensor:
-        return self.structure.propagated_features
-
 
 @dataclass
 class RunRecord:
-    config: dict
     loss_trace: list[float]
-    metrics: MetricsReport
     duration_seconds: float
     model_state: model.ModelState
     prepared: Prepared
@@ -180,46 +162,40 @@ def prepare(data: Dataset | Structure, cfg: TrainConfig) -> Prepared:
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:
     """Metrics of the model's softmax output on the held-out test vertices."""
-    logits, _ = model.forward(
-        prepared.features, prepared.graph, state, prepared.propagated_features
-    )
+    s = prepared.structure
+    logits, _ = model.forward(s.features, s.graph, state, s.propagated_features)
     e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-    return metrics.evaluate(e / e.sum(axis=1, keepdims=True), prepared.labels, prepared.test_mask)
+    return metrics.evaluate(e / e.sum(axis=1, keepdims=True), s.dataset.labels, prepared.test_mask)
 
 
 def train(data: Dataset | Structure, cfg: TrainConfig) -> RunRecord:
     """Full protocol: prepare `data` (a dataset, or a structure shared
-    across runs), train with Adam under a linear lr decay to 0, evaluate on
-    the held-out test vertices."""
+    across runs) and train with Adam under a linear lr decay to 0. The run
+    is returned unevaluated; `evaluate_state` scores it."""
     start = time.perf_counter()
     prepared = prepare(data, cfg)
+    s = prepared.structure
     state = model.init_params(
-        in_dim=prepared.features.shape[1],
+        in_dim=s.features.shape[1],
         hidden_dims=list(cfg.hidden_dims),
-        num_classes=prepared.structure.dataset.num_classes,
+        num_classes=s.dataset.num_classes,
         rng=substream(cfg.seed, "init"),
     )
     opt = AdamState.for_params(state.params)
     trace = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
-        logits, per_layer = model.forward(
-            prepared.features, prepared.graph, state, prepared.propagated_features
-        )
+        logits, per_layer = model.forward(s.features, s.graph, state, s.propagated_features)
         loss = losses.total_loss(
-            logits, per_layer, prepared.labels, prepared.labeled_mask, cfg.loss
+            logits, per_layer, s.dataset.labels, prepared.labeled_mask, cfg.loss
         )
         trace.append(float(loss.data[0, 0]))
         for p in state.params:
             p.zero_grad()
         loss.backward()
         adam_step(state.params, [p.grad for p in state.params], opt, lr)
-
-    report = evaluate_state(prepared, state)
     return RunRecord(
-        config=cfg.to_dict(),
         loss_trace=trace,
-        metrics=report,
         duration_seconds=time.perf_counter() - start,
         model_state=state,
         prepared=prepared,

@@ -27,7 +27,7 @@ from hgib.data import fuse_and_build, normalize
 from hgib.hypergraph import Hypergraph
 from hgib.metrics import auc_binary
 from hgib.seeding import substream
-from hgib.trainer import aggregate_metrics
+from hgib.trainer import aggregate_metrics, evaluate_state
 
 from conftest import ACCEPTANCE_SEEDS, random_hypergraph
 from oracles import (
@@ -177,16 +177,19 @@ def test_criterion_5_ablation_equivalence(small_dataset):
 
 
 def test_criterion_6_end_to_end_learning(trained_default_runs):
-    aucs = [r.metrics.auc_average for r in trained_default_runs.values()]
+    aucs = [
+        evaluate_state(r.prepared, r.model_state).auc_average
+        for r in trained_default_runs.values()
+    ]
     mean_auc = float(np.mean(aucs))
     assert mean_auc >= 0.90, f"mean macro AUC {mean_auc:.4f}"
     slowest = max(r.duration_seconds for r in trained_default_runs.values())
     assert slowest < 120.0
 
     control = generate_synthetic(SynthConfig(seed=1, separation=0.0))
+    control_runs = [train(control, TrainConfig(seed=s)) for s in ACCEPTANCE_SEEDS]
     control_aucs = [
-        train(control, TrainConfig(seed=s)).metrics.auc_average
-        for s in ACCEPTANCE_SEEDS
+        evaluate_state(r.prepared, r.model_state).auc_average for r in control_runs
     ]
     mean_control = float(np.mean(control_aucs))
     assert 0.4 <= mean_control <= 0.6, f"control AUC {mean_control:.4f}"
@@ -203,13 +206,11 @@ def test_criterion_7_label_efficiency(default_dataset):
     fractions = [0.8, 0.6, 0.4]
     rows = []
     for fraction in fractions:
-        reports = [
-            train(
-                default_dataset,
-                TrainConfig(seed=s, label_fraction=fraction),
-            ).metrics
+        runs = [
+            train(default_dataset, TrainConfig(seed=s, label_fraction=fraction))
             for s in ACCEPTANCE_SEEDS
         ]
+        reports = [evaluate_state(r.prepared, r.model_state) for r in runs]
         rows.append(
             {"label_fraction": fraction, "metrics": aggregate_metrics(reports)}
         )
@@ -225,7 +226,7 @@ def test_criterion_7_label_efficiency(default_dataset):
 def test_criterion_8_robustness_protocol(trained_default_runs):
     clean, dropped, noisy = [], [], []
     for seed, record in trained_default_runs.items():
-        clean.append(record.metrics.auc_average)
+        clean.append(evaluate_state(record.prepared, record.model_state).auc_average)
         drop_cfg = AttackConfig(kind="drop", drop_fraction=0.2, seed=seed)
         noise_cfg = AttackConfig(kind="noise", rho=0.01, seed=seed)
         dropped.append(

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -15,6 +16,7 @@ import hgib.autodiff
 import hgib.cli
 import hgib.data
 import hgib.losses
+import hgib.metrics
 import hgib.perturb
 import hgib.trainer
 from hgib import (
@@ -152,6 +154,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "nope.csv" in err or "missing_labels.csv" in err
 
+    @pytest.mark.parametrize("case", ["features", "config", "checkpoint", "out"])
+    def test_unreadable_path_exit_2(self, tmp_path, synth_cfg, capsys, case):
+        # a directory where a file is read, or a file where a directory is made
+        directory, blocker, out = str(tmp_path), tmp_path / "file", tmp_path / "out"
+        blocker.write_text("")
+        argv, path, errno_ = {
+            "features": (
+                ["train", "--features", directory, "--labels", directory, "--out", str(out)],
+                directory, errno.EISDIR,
+            ),
+            "config": (train_args(synth_cfg, out, "--config", directory), directory, errno.EISDIR),
+            "checkpoint": (
+                ["eval", *train_args(synth_cfg, out, "--checkpoint", directory)[1:]],
+                directory, errno.EISDIR,
+            ),
+            "out": (train_args(synth_cfg, blocker / "run"), str(blocker / "run"), errno.ENOTDIR),
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: {os.strerror(errno_)}: {path}\n")
+
     def test_row_without_label_exit_2(self, tmp_path, synth_cfg, capsys):
         csv_args = synth_csv_args(tmp_path, synth_cfg)
         labels = Path(csv_args[-1])
@@ -253,7 +275,7 @@ class TestTrain:
 
         def recording(dataset, cfg):
             prepared = prepare(dataset, cfg)
-            fused[cfg.seed] = prepared.features.data
+            fused[cfg.seed] = prepared.structure.features.data
             return prepared
 
         prepare = hgib.trainer.prepare
@@ -432,6 +454,30 @@ class TestEvalAndAttack:
             assert json.loads((out / "metrics.json").read_text())["metrics"] == expected, name
 
 
+class TestOneEvaluationPerReport:
+    """Each written report costs one evaluation of one trained run:
+    training itself evaluates nothing."""
+
+    @pytest.mark.parametrize(
+        "head, evaluations",
+        [
+            (["train"], 1),
+            (["attack", "--attack", "drop"], 1),
+            (["sweep", "--grid", "attacks", "--seeds", "1", "2"], 6),
+            (["sweep", "--grid", "labels", "--fractions", "1.0", "0.5", "--seeds", "1", "2"], 4),
+        ],
+        ids=["train", "attack", "sweep-attacks", "sweep-labels"],
+    )
+    def test_evaluations_per_command(self, tmp_path, synth_cfg, monkeypatch, head, evaluations):
+        calls = {"evaluate": 0}
+        monkeypatch.setattr(
+            hgib.metrics, "evaluate", counted(calls, "evaluate", hgib.metrics.evaluate)
+        )
+        argv = ["--synth", synth_cfg, "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main([*head, *argv]) == 0
+        assert calls == {"evaluate": evaluations}
+
+
 class TestSweep:
     def test_label_grid_table(self, tmp_path, synth_cfg):
         out = tmp_path / "sweep"
@@ -570,6 +616,13 @@ class TestSweep:
         assert "at least two --seeds" in capsys.readouterr().err
         assert not (tmp_path / "table.json").exists()
 
+    def test_repeated_seed_rejected(self, tmp_path, synth_cfg, capsys):
+        # a repeated seed trains the same run twice and makes every std 0
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "attacks", "--seeds", "1", "2", "1"]
+        assert main([*argv, "--epochs", "2", "--k", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --seeds repeats 1; each seed runs once\n"
+        assert not (tmp_path / "table.json").exists()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         argv = ["sweep", "--features", "nope.csv", "--labels", "missing_labels.csv"]
         argv += ["--grid", "labels", "--seeds", "1", "2", "--out", str(tmp_path)]
@@ -651,13 +704,14 @@ class TestSweep:
         rows = json.loads((tmp_path / "table.json").read_text())["rows"]
         assert [row["setting"] for row in rows] == [1.0, 0.5]
         for row in rows:
-            reports = [
+            runs = [
                 hgib.trainer.train(
                     dataset,
                     TrainConfig(epochs=5, k_neighbors=5, label_fraction=row["setting"], seed=s),
-                ).metrics
+                )
                 for s in (1, 2)
             ]
+            reports = [hgib.trainer.evaluate_state(r.prepared, r.model_state) for r in runs]
             assert row["status"] == "ok"
             assert row["metrics"] == aggregate_metrics(reports), row["setting"]
 

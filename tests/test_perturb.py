@@ -117,7 +117,8 @@ class TestAttackEvaluate:
     def test_none_equals_plain_evaluation(self, trained):
         _, rec = trained
         report = attack_evaluate(rec.prepared, rec.model_state, AttackConfig(kind="none"))
-        assert report.auc_average == pytest.approx(rec.metrics.auc_average, abs=1e-12)
+        plain = evaluate_state(rec.prepared, rec.model_state)
+        assert report.auc_average == pytest.approx(plain.auc_average, abs=1e-12)
 
     def test_drop_and_noise_run(self, trained):
         _, rec = trained
@@ -130,23 +131,25 @@ class TestAttackEvaluate:
 
     def test_no_mutation(self, trained):
         ds, rec = trained
+        structure = rec.prepared.structure
+        clean_before = evaluate_state(rec.prepared, rec.model_state)
         params_before = [p.data.copy() for p in rec.model_state.params]
         features_before = [m.copy() for m in ds.modalities]
-        fused_before = rec.prepared.features.data.copy()
-        incidence_before = rec.prepared.graph.incidence.copy()
+        fused_before = structure.features.data.copy()
+        incidence_before = structure.graph.incidence.copy()
         for cfg in (
             AttackConfig(kind="noise", rho=0.5, seed=2),
             AttackConfig(kind="drop", drop_fraction=0.5, seed=2),
         ):
             attack_evaluate(rec.prepared, rec.model_state, cfg)
-            np.testing.assert_array_equal(rec.prepared.features.data, fused_before)
-            np.testing.assert_array_equal(rec.prepared.graph.incidence, incidence_before)
+            np.testing.assert_array_equal(structure.features.data, fused_before)
+            np.testing.assert_array_equal(structure.graph.incidence, incidence_before)
         for a, b in zip(params_before, rec.model_state.params):
             np.testing.assert_array_equal(a, b.data)
         for a, b in zip(features_before, ds.modalities):
             np.testing.assert_array_equal(a, b)
         clean = attack_evaluate(rec.prepared, rec.model_state, AttackConfig(kind="none"))
-        assert clean == rec.metrics
+        assert clean == clean_before
 
     def test_no_stale_propagated_input(self, trained):
         # training filled the structure's cached P @ X; an attacked copy must
@@ -157,14 +160,14 @@ class TestAttackEvaluate:
         assert "propagated_features" in vars(s)
         masks = (p.train_mask, p.labeled_mask, p.test_mask)
         noise = AttackConfig(kind="noise", rho=0.5, seed=2)
-        noisy = inject_feature_noise(p.features.data, noise.rho, noise.seed)
+        noisy = inject_feature_noise(s.features.data, noise.rho, noise.seed)
         fresh = Prepared(Structure(s.dataset, s.k, Tensor(noisy), s.graph), *masks)
         assert attack_evaluate(p, rec.model_state, noise) == evaluate_state(fresh, rec.model_state)
         drop = AttackConfig(kind="drop", drop_fraction=0.5, seed=2)
-        dropped = drop_hyperedges(p.graph, drop.drop_fraction, drop.seed)
+        dropped = drop_hyperedges(s.graph, drop.drop_fraction, drop.seed)
         fresh = Prepared(Structure(s.dataset, s.k, s.features, dropped), *masks)
         assert attack_evaluate(p, rec.model_state, drop) == evaluate_state(fresh, rec.model_state)
-        assert attack_evaluate(p, rec.model_state, noise) != rec.metrics
+        assert attack_evaluate(p, rec.model_state, noise) != evaluate_state(p, rec.model_state)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

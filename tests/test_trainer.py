@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,11 @@ def tiny_cfg(**kwargs):
     defaults = dict(epochs=5, k_neighbors=5, hidden_dims=(8, 8), seed=0)
     defaults.update(kwargs)
     return TrainConfig(**defaults)
+
+
+def scored(record):
+    """The test-split metrics of a trained run."""
+    return evaluate_state(record.prepared, record.model_state)
 
 
 class TestSplitAndMask:
@@ -80,7 +85,7 @@ class TestTrain:
         cfg = tiny_cfg(epochs=1, lr_initial=0.0, seed=1)
         baseline = train(small_dataset, cfg)
         again = train(small_dataset, tiny_cfg(epochs=3, lr_initial=0.0, seed=1))
-        assert baseline.metrics.auc_average == again.metrics.auc_average
+        assert scored(baseline).auc_average == scored(again).auc_average
         for a, b in zip(baseline.model_state.params, again.model_state.params):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -88,7 +93,17 @@ class TestTrain:
         a = train(small_dataset, tiny_cfg(epochs=10, seed=3))
         b = train(small_dataset, tiny_cfg(epochs=10, seed=3))
         assert a.loss_trace == b.loss_trace
-        assert abs(a.metrics.auc_average - b.metrics.auc_average) <= 1e-12
+        assert abs(scored(a).auc_average - scored(b).auc_average) <= 1e-12
+
+    def test_returns_the_run_unevaluated(self, small_dataset, monkeypatch):
+        def evaluate(*args):
+            raise AssertionError("train evaluated its run")
+
+        monkeypatch.setattr(hgib.metrics, "evaluate", evaluate)
+        record = train(small_dataset, tiny_cfg(epochs=2))
+        assert [f.name for f in fields(record)] == [
+            "loss_trace", "duration_seconds", "model_state", "prepared"
+        ]
 
     def test_loss_trace_length_and_finiteness(self, small_dataset):
         rec = train(small_dataset, tiny_cfg(epochs=7))
@@ -134,7 +149,7 @@ class TestTrain:
             SynthConfig(n=90, dims=(6, 6), separation=4.0, label_noise=0.0, seed=5)
         )
         rec = train(ds, tiny_cfg(epochs=400, lr_initial=5e-3, seed=1))
-        assert rec.metrics.auc_average >= 0.9
+        assert scored(rec).auc_average >= 0.9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -150,11 +165,11 @@ class TestTrain:
 
 class TestPrepared:
     def test_propagated_features_read_only_and_cached(self, small_dataset):
-        prepared = prepare(small_dataset, tiny_cfg())
-        px = prepared.propagated_features
-        assert px is prepared.propagated_features
+        structure = prepare(small_dataset, tiny_cfg()).structure
+        px = structure.propagated_features
+        assert px is structure.propagated_features
         np.testing.assert_array_equal(
-            px.data, prepared.graph.propagation() @ prepared.features.data
+            px.data, structure.graph.propagation() @ structure.features.data
         )
         with pytest.raises(ValueError):
             px.data[0, 0] = 1.0
@@ -164,7 +179,7 @@ class TestPrepared:
         a = prepare(structure, tiny_cfg(seed=1))
         b = prepare(structure, tiny_cfg(seed=2, label_fraction=0.5))
         assert a.structure is b.structure
-        assert a.propagated_features is b.propagated_features
+        assert a.structure.propagated_features is b.structure.propagated_features
         assert not (a.labeled_mask == b.labeled_mask).all()
         with pytest.raises(ValueError, match="k=5"):
             prepare(structure, tiny_cfg(k_neighbors=4))
@@ -189,7 +204,7 @@ class TestPrepared:
             cfg = tiny_cfg(seed=seed, label_fraction=fraction)
             shared, fresh = train(structure, cfg), train(small_dataset, cfg)
             assert shared.loss_trace == fresh.loss_trace
-            assert shared.metrics == fresh.metrics
+            assert scored(shared) == scored(fresh)
 
     def test_epoch_tape_size(self, small_dataset):
         # one epoch's loss at the default model and objective: 7 nodes of
@@ -202,14 +217,13 @@ class TestPrepared:
         assert cfg.hidden_dims == (64, 64)
         assert (cfg.loss.mu, cfg.loss.xi, cfg.loss.beta) == (1.0, 10.0, 1.0)
         prepared = prepare(small_dataset, cfg)
+        s = prepared.structure
         state = model.init_params(
-            prepared.features.shape[1], list(cfg.hidden_dims), 3, np.random.default_rng(0)
+            s.features.shape[1], list(cfg.hidden_dims), 3, np.random.default_rng(0)
         )
-        logits, per_layer = model.forward(
-            prepared.features, prepared.graph, state, prepared.propagated_features
-        )
+        logits, per_layer = model.forward(s.features, s.graph, state, s.propagated_features)
         loss = losses.total_loss(
-            logits, per_layer, prepared.labels, prepared.labeled_mask, cfg.loss
+            logits, per_layer, s.dataset.labels, prepared.labeled_mask, cfg.loss
         )
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
         assert len(ops) <= 20
@@ -254,20 +268,21 @@ class TestMultiSeed:
 
     def test_repeated_seed_zero_std(self, small_dataset):
         runs = self.runs(small_dataset, tiny_cfg(epochs=5), seeds=[4, 4])
-        agg = aggregate_metrics([r.metrics for r in runs])
+        agg = aggregate_metrics([scored(r) for r in runs])
         assert agg["auc_average"]["std"] == 0.0
         assert agg["ppv_average"]["std"] == 0.0
 
     def test_mean_std_arithmetic(self, small_dataset):
         runs = self.runs(small_dataset, tiny_cfg(epochs=5), seeds=[1, 2])
-        vals = np.array([r.metrics.auc_average for r in runs])
-        agg = aggregate_metrics([r.metrics for r in runs])["auc_average"]
+        reports = [scored(r) for r in runs]
+        vals = np.array([r.auc_average for r in reports])
+        agg = aggregate_metrics(reports)["auc_average"]
         assert agg["mean"] == pytest.approx(vals.mean(), abs=1e-15)
         assert agg["std"] == pytest.approx(vals.std(ddof=1), abs=1e-15)
 
     def test_report_shape(self, small_dataset):
         runs = self.runs(small_dataset, tiny_cfg(epochs=3), seeds=[1, 2, 3])
-        agg = aggregate_metrics([r.metrics for r in runs])
+        agg = aggregate_metrics([scored(r) for r in runs])
         assert set(agg) == {
             "auc_average",
             "ppv_average",
@@ -279,8 +294,8 @@ class TestMultiSeed:
 
 class TestAggregate:
     def test_against_hand_numbers(self, small_dataset):
-        r1 = train(small_dataset, tiny_cfg(epochs=3, seed=1)).metrics
-        r2 = train(small_dataset, tiny_cfg(epochs=3, seed=2)).metrics
+        r1 = scored(train(small_dataset, tiny_cfg(epochs=3, seed=1)))
+        r2 = scored(train(small_dataset, tiny_cfg(epochs=3, seed=2)))
         agg = aggregate_metrics([r1, r2])
         expected_mean = (r1.auc_average + r2.auc_average) / 2
         assert agg["auc_average"]["mean"] == pytest.approx(expected_mean, abs=1e-15)
