@@ -138,7 +138,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.data.shape} x {b.data.shape}")
-    # a constant operand (the propagation matrix) gets no n x n product
+    # a constant operand gets no gradient product
     return _make(
         a.data @ b.data,
         (a, b),
@@ -147,6 +147,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.data.T @ g if _needs_grad(b) else None,
         ),
     )
+
+
+def propagate(p: Tensor, x: Tensor) -> Tensor:
+    """p @ x for a constant n x n p (the propagation matrix), formed wide as
+    (x.T @ p.T).T, and its VJP as (g.T @ p).T: OpenBLAS runs an n x 64
+    p @ x as a slow tall-narrow GEMM. p gets no gradient."""
+    if p.data.shape[1] != x.data.shape[0]:
+        raise ShapeError(f"propagate: inner dims {p.data.shape} x {x.data.shape}")
+    return _make((x.data.T @ p.data.T).T, (p, x), lambda g: (None, (g.T @ p.data).T))
 
 
 # ----------------------------------------------------------- elementwise

@@ -23,7 +23,6 @@ from .trainer import TrainConfig
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -98,7 +97,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config(SynthConfig, file_cfg, **_given(args, SynthConfig))
     dataset = generate_synthetic(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ids = [f"v{i}" for i in range(dataset.n)]
     for i, X in enumerate(dataset.modalities):
         with open(out / f"modality_{i}.csv", "w", newline="") as fh:
@@ -309,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every command writes under --out: one that cannot be made fails
+        # here, before any data is read or model trained
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)

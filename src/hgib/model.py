@@ -57,7 +57,7 @@ def hgnnp_layer_forward(
     linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta).
 
     `px` is P @ x when the caller already holds it: a constant first-layer
-    input is propagated once (`trainer.Prepared.propagated_features`), not
+    input is propagated once (`trainer.Structure.propagated_features`), not
     on every pass."""
     if x.shape[0] != g.num_vertices:
         raise ShapeError(
@@ -66,7 +66,7 @@ def hgnnp_layer_forward(
     if theta.shape[0] != x.shape[1]:
         raise ShapeError(f"theta rows {theta.shape[0]} != feature dim {x.shape[1]}")
     if px is None:
-        px = ad.matmul(g.propagation_tensor, x)
+        px = ad.propagate(g.propagation_tensor, x)
     elif px.shape != x.shape:
         raise ShapeError(f"propagated input {px.shape} != feature shape {x.shape}")
     return ad.relu(ad.matmul(px, theta))

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import losses, metrics, model
-from .autodiff import AdamState, Tensor, adam_step
+from .autodiff import AdamState, Tensor, adam_step, propagate
 from .data import Dataset, fuse_and_build, normalize
 from .errors import DataError, check_field_types
 from .hypergraph import Hypergraph
@@ -64,9 +64,9 @@ class Structure:
     @cached_property
     def propagated_features(self) -> Tensor:
         """P @ X, the first layer's constant propagated input, computed once
-        and read-only. `dataclasses.replace` does not carry it over, so a
-        copy with other features or another graph computes its own."""
-        return Tensor.constant(self.graph.propagation() @ self.features.data)
+        by `propagate` and read-only. `dataclasses.replace` does not carry it
+        over, so a copy with other features or another graph computes its own."""
+        return Tensor.constant(propagate(self.graph.propagation_tensor, self.features).data)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,51 @@ class TestMatmul:
         assert grad_const is None and grad_param.shape == (1, 2)
 
 
+class TestPropagate:
+    @staticmethod
+    def operands(seed, n=7, d=3):
+        rng = np.random.default_rng(seed)
+        p = rng.random((n, n))
+        return Tensor.constant(p / p.sum(axis=1, keepdims=True)), rng.normal(size=(n, d))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_tall_product(self, seed):
+        # within rounding, not bitwise: the bits depend on the BLAS kernel
+        p, x = self.operands(seed, n=40, d=16)
+        np.testing.assert_allclose(ad.propagate(p, Tensor(x)).data, p.data @ x, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradients_match_finite_differences(self, seed):
+        p, x_data = self.operands(seed)
+        x = Tensor(x_data, requires_grad=True)
+        labels = np.array([0, 2, 1, 1, 0, 2, 1])
+
+        def build():
+            h = ad.propagate(p, ad.relu(x))
+            return ad.weighted_sum(
+                [kl_sigmoid_half(h), ce_focal_loss(h, labels, [True] * 6 + [False], 1.0, 2.0, 0.5)],
+                [1.0, 0.5],
+            )
+
+        build().backward()
+        assert_close_gradients([x.grad], finite_difference_grads(lambda: build().data[0, 0], [x]))
+
+    def test_constant_gets_no_gradient(self):
+        p, x_data = self.operands(0)
+        x = Tensor(x_data, requires_grad=True)
+        out = ad.propagate(p, x)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        grad_p, grad_x = out._vjp(g)
+        assert grad_p is None and not np.shares_memory(grad_x, g)
+        np.testing.assert_allclose(grad_x, p.data.T @ g, rtol=1e-14, atol=1e-15)
+        assert ad.propagate(p, Tensor(x_data))._vjp is None   # nothing to differentiate
+
+    def test_shape_mismatch(self):
+        p, x = self.operands(0, n=4)
+        with pytest.raises(ShapeError):
+            ad.propagate(p, Tensor(x[:3]))
+
+
 class TestConstant:
     def test_shares_memory_and_is_read_only(self):
         data = np.arange(6.0).reshape(2, 3)

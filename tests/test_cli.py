@@ -155,8 +155,13 @@ class TestTrain:
         assert "nope.csv" in err or "missing_labels.csv" in err
 
     @pytest.mark.parametrize("case", ["features", "config", "checkpoint", "out"])
-    def test_unreadable_path_exit_2(self, tmp_path, synth_cfg, capsys, case):
-        # a directory where a file is read, or a file where a directory is made
+    def test_unreadable_path_exit_2(self, tmp_path, synth_cfg, capsys, monkeypatch, case):
+        # a directory where a file is read, or a file where a directory is made;
+        # each fails before any training, --out's included
+        def no_train(*args):
+            raise AssertionError("trained before the path was checked")
+
+        monkeypatch.setattr(hgib.trainer, "train", no_train)
         directory, blocker, out = str(tmp_path), tmp_path / "file", tmp_path / "out"
         blocker.write_text("")
         argv, path, errno_ = {

@@ -108,7 +108,7 @@ class TestForward:
         g = Hypergraph(random_hypergraph(rng, 6))
         x = Tensor(rng.normal(size=(6, 3)))
         state = init_params(3, [4, 4], 2, substream(0, "init"))
-        px = Tensor.constant(g.propagation() @ x.data)
+        px = Tensor.constant(ad.propagate(g.propagation_tensor, x).data)
         plain, _ = forward(x, g, state)
         hoisted, _ = forward(x, g, state, px)
         np.testing.assert_array_equal(hoisted.data, plain.data)

@@ -14,6 +14,7 @@ from hgib import (
     split_and_mask,
     train,
 )
+from hgib.autodiff import propagate
 from hgib.errors import DataError
 from hgib.trainer import aggregate_metrics, build, evaluate_state, prepare
 
@@ -168,9 +169,9 @@ class TestPrepared:
         structure = prepare(small_dataset, tiny_cfg()).structure
         px = structure.propagated_features
         assert px is structure.propagated_features
-        np.testing.assert_array_equal(
-            px.data, structure.graph.propagation() @ structure.features.data
-        )
+        p, x = structure.graph.propagation_tensor, structure.features
+        np.testing.assert_array_equal(px.data, propagate(p, x).data)   # the one P·X path
+        np.testing.assert_allclose(px.data, p.data @ x.data, rtol=1e-14, atol=1e-15)
         with pytest.raises(ValueError):
             px.data[0, 0] = 1.0
 
@@ -227,6 +228,23 @@ class TestPrepared:
         )
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
         assert len(ops) <= 20
+
+    def test_epoch_multiplies_by_p_only_through_propagate(self, small_dataset, monkeypatch):
+        # every n x n product is the wide `propagate`: a P operand reaching
+        # `matmul` would put an epoch back on the slow tall-narrow GEMM
+        from hgib import autodiff as ad
+
+        shapes = []
+        matmul = ad.matmul
+
+        def recording(a, b):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recording)
+        train(small_dataset, TrainConfig(k_neighbors=5, epochs=1))
+        n = small_dataset.n
+        assert shapes and all((n, n) not in pair for pair in shapes)
 
 
 class TestEvaluateState:
