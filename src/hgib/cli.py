@@ -156,8 +156,8 @@ def _attack_config(args: argparse.Namespace, kind: str, seed: int) -> perturb.At
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
+    attack_cfg = _attack_config(args, args.attack, cfg.seed)   # checked before any training
     prepared, state = _trained_or_loaded(args, _load_dataset(args), cfg)
-    attack_cfg = _attack_config(args, args.attack, cfg.seed)
     report = perturb.attack_evaluate(prepared, state, attack_cfg)
     payload = _metrics_payload(report, cfg, attack=attack_cfg.__dict__)
     _write_json(Path(args.out) / "metrics.json", payload)
@@ -190,6 +190,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
     if repeated:
         raise HgibError(f"--seeds repeats {', '.join(map(str, repeated))}; each seed runs once")
+    # --drop-fraction and --rho are checked once, before the data is read;
+    # each row's attack is this one with its kind and seed
+    attack = _attack_config(args, "none", args.seeds[0])
     dataset = _load_dataset(args)
     plan = _plan(args)
     reports = [[] for _ in plan]
@@ -215,7 +218,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 report = _attempt(
                     errors, [i], seed,
                     lambda: perturb.attack_evaluate(
-                        record.prepared, record.model_state, _attack_config(args, plan[i][2], seed)
+                        record.prepared, record.model_state,
+                        replace(attack, kind=plan[i][2], seed=seed),
                     ),
                 )
                 if report is not None:

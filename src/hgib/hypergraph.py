@@ -95,35 +95,48 @@ class Hypergraph:
         forward pass so that none copies the n x n matrix.
 
         P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
-        co-membership counts from one `bincount` over the member pairs of
-        each edge size (a kNN graph has one), divided by that size, summed
-        over the sizes in ascending order, then divided by dv. P takes over
-        the first size's count buffer (int64 and float64 have one width) and
-        is formed in it a chunk of rows at a time, so a kNN graph's build
-        holds no n x n array but that one."""
+        for each edge size (a kNN graph has one), integer co-membership
+        counts divided by that size, summed over the sizes in ascending
+        order, then divided by dv.
+
+        P is the one n x n array. It is filled a block of rows at a time:
+        each size's memberships are grouped by vertex once, and a block's
+        counts come from one `bincount` over the member rows of the edges
+        its vertices belong to, into a block-sized buffer. No array of all
+        the member pairs is formed."""
         if (self.vertex_degrees < 1).any():
             raise StructureError("vertex with no hyperedge membership")
         n = self.num_vertices
         rows = max(1, _P_CHUNK // n)
+        cuts = np.append(np.arange(0, n, rows), n)
         dv = self.vertex_degrees[:, None]
         sizes = np.unique(self.edge_degrees)
+        P = np.empty((n, n))
         for i, size in enumerate(sizes):
             starts = self.indptr[:-1][self.edge_degrees == size]
             members = self.indices[starts[:, None] + np.arange(size)]
-            pairs = (members * n)[:, :, None] + members[:, None, :]
-            del members
-            counts = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
-            del pairs   # the largest array here; freed before P is formed
-            if i == 0:
-                P = counts.view(np.float64)
-            for lo in range(0, n, rows):
-                chunk = counts[lo : lo + rows] / size
-                if i > 0:
-                    chunk += P[lo : lo + rows]
+            # memberships grouped by vertex: (vertex, edge) in vertex order.
+            # Counts do not depend on the order within a group, so any sort
+            # will do; the sort's indices become the edges in place.
+            edges = np.argsort(members, axis=None)
+            vertices = members.ravel()[edges]
+            edges //= size
+            bounds = np.searchsorted(vertices, cuts)
+            for lo, hi, a, b in zip(cuts[:-1], cuts[1:], bounds[:-1], bounds[1:]):
+                # (u, w) for each block vertex u and co-member w, as the flat
+                # index of counts[u - lo, w]
+                pairs = np.take(members, edges[a:b], axis=0)
+                pairs += ((vertices[a:b] - lo) * n)[:, None]
+                counts = np.bincount(pairs.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
+                del pairs
+                block = P[lo:hi]
+                if i == 0:
+                    np.divide(counts, size, out=block)
+                else:
+                    block += counts / size
                 if i == sizes.size - 1:
-                    chunk /= dv[lo : lo + rows]
-                P[lo : lo + rows] = chunk
-            del counts
+                    block /= dv[lo:hi]
+                del counts   # so that no two blocks' buffers are held at once
         return Tensor.constant(P)
 
 
@@ -133,7 +146,7 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
 
 
 _KNN_BLOCK = 64      # rows of distances formed and ranked at a time
-_P_CHUNK = 1 << 16   # entries of P converted from counts at a time
+_P_CHUNK = 1 << 15   # entries of P counted and formed at a time: a block of rows
 
 
 def build_knn_hyperedges(X: np.ndarray, k: int) -> Hypergraph:

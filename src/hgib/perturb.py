@@ -9,7 +9,7 @@ import numpy as np
 
 from . import model
 from .autodiff import Tensor
-from .errors import StructureError
+from .errors import StructureError, check_field_types
 from .hypergraph import Hypergraph
 from .metrics import MetricsReport
 from .seeding import substream
@@ -27,6 +27,7 @@ class AttackConfig:
     per_vertex_max: bool = False  # alternative reading of the noise scale r
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("none", "drop", "noise"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not 0.0 <= self.drop_fraction < 1.0:

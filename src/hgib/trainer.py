@@ -35,6 +35,8 @@ class TrainConfig:
         check_field_types(self)
         if self.epochs < 1:
             raise ValueError("epochs >= 1 required")
+        if self.lr_initial < 0:
+            raise ValueError(f"lr_initial must be >= 0, got {self.lr_initial!r}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction in (0, 1]")
         if not 0.0 < self.label_fraction <= 1.0:

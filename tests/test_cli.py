@@ -200,6 +200,26 @@ class TestTrain:
         assert err == "error: label fraction 0.001 of 192 training vertices labels none\n"
         assert calls == {"knn": 0}
 
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--lr", "nan", "lr_initial must be finite, got nan"),
+            ("--lr", "inf", "lr_initial must be finite, got inf"),
+            ("--lr", "-1", "lr_initial must be >= 0, got -1.0"),
+            ("--beta", "nan", "beta must be finite, got nan"),
+            ("--xi", "inf", "xi must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_or_negative_rate_exit_2(
+        self, tmp_path, synth_cfg, capsys, monkeypatch, flag, value, error
+    ):
+        def no_train(*args):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(hgib.trainer, "train", no_train)
+        assert main(train_args(synth_cfg, tmp_path / "run", flag, value)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("hidden_dims", [[], [0]])
     def test_hidden_dims_without_a_width_exit_2(self, tmp_path, capsys, hidden_dims):
         cfg = tmp_path / "hd.json"
@@ -812,3 +832,31 @@ class TestSweep:
         rows = json.loads((tmp_path / "table.json").read_text())["rows"]
         error = "seed 3: k must satisfy 0 <= k < n, got k=45, n=45"
         assert rows == [{"setting": s, "status": "error", "error": error} for s in settings]
+
+
+class TestAttackSettingsCheckedFirst:
+    @pytest.mark.parametrize("command", ["attack", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--rho", "-1", "rho >= 0 required"),
+            ("--rho", "inf", "rho must be finite, got inf"),
+            ("--drop-fraction", "1.5", "drop_fraction in [0, 1)"),
+        ],
+    )
+    def test_bad_setting_exit_2_before_any_work(
+        self, tmp_path, synth_cfg, capsys, monkeypatch, command, flag, value, error
+    ):
+        # the attack settings are checked before the dataset is read: no
+        # training spent on a usage error, and no table of failed rows
+        calls = Counter()
+        for module, name in [
+            (hgib.cli, "generate_synthetic"), (hgib.data, "build_knn_hyperedges"), (hgib.trainer, "train"),
+        ]:
+            monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
+        argv = [command, "--synth", synth_cfg, "--epochs", "2", "--k", "5", flag, value]
+        extra = ["--attack", "noise"] if command == "attack" else ["--grid", "attacks", "--seeds", "1", "2"]
+        assert main([*argv, *extra, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert calls == Counter()
+        assert os.listdir(tmp_path) == []

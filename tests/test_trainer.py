@@ -6,6 +6,7 @@ import pytest
 import hgib.metrics
 import hgib.trainer
 from hgib import (
+    AttackConfig,
     Dataset,
     LossConfig,
     SynthConfig,
@@ -162,6 +163,27 @@ class TestTrain:
         for hidden_dims in ((), (0,), (8, 0), (-1, 4)):
             with pytest.raises(ValueError, match="hidden_dims"):
                 TrainConfig(hidden_dims=hidden_dims)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (TrainConfig, "lr_initial"), (TrainConfig, "train_fraction"),
+            (LossConfig, "beta"), (LossConfig, "xi"),
+            (AttackConfig, "rho"), (AttackConfig, "drop_fraction"),
+            (SynthConfig, "separation"),
+        ],
+    )
+    def test_float_fields_take_only_finite_values(self, cls, name, value):
+        # a non-finite weight or rate would fail only after the build and
+        # the first epoch, as "operation produced non-finite values"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            cls(**{name: value})
+
+    def test_negative_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="^lr_initial must be >= 0, got -1.0$"):
+            TrainConfig(lr_initial=-1.0)
+        assert TrainConfig(lr_initial=0.0).lr_initial == 0.0
 
 
 class TestPrepared:
