@@ -19,6 +19,7 @@ from . import model, perturb, trainer
 from .data import Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
 from .errors import HgibError
 from .losses import LossConfig
+from .metrics import MetricsReport
 from .trainer import TrainConfig
 
 
@@ -72,15 +73,28 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return generate_synthetic(_config(SynthConfig, _read_json(args.synth)))
 
 
-def _trained_or_loaded(
-    args: argparse.Namespace, dataset: Dataset, cfg: TrainConfig
-) -> tuple[trainer.Prepared, model.ModelState]:
-    """The --checkpoint's model if one is given, else a fresh training."""
+def _record_path(checkpoint) -> Path:
+    """The run record beside a checkpoint: `checkpoint.json` -> `checkpoint.meta.json`."""
+    return Path(checkpoint).with_suffix(".meta.json")
+
+
+def _evaluate(
+    args: argparse.Namespace, cfg: TrainConfig, attack: perturb.AttackConfig
+) -> MetricsReport:
+    """The metrics of the --checkpoint's model on the structure its run
+    record holds, or of a fresh training, on a copy under `attack`. The copy
+    is drawn before any training, so an attack that cannot be drawn fails
+    first."""
+    data = _load_dataset(args)
+    state = None
     if args.checkpoint:
-        state = model.load_checkpoint(args.checkpoint)   # fails before the graph is built
-        return trainer.prepare(dataset, cfg), state
-    record = trainer.train(dataset, cfg)
-    return record.prepared, record.model_state
+        state = model.load_checkpoint(args.checkpoint)   # fails before the record is read
+        data = trainer.load_structure(_record_path(args.checkpoint), data, cfg)
+    prepared = trainer.prepare(data, cfg)
+    attacked = perturb.attacked(prepared, attack)
+    if state is None:
+        state = trainer.train(prepared.structure, cfg).model_state
+    return trainer.evaluate_state(attacked, state)
 
 
 def _metrics_payload(report, cfg: TrainConfig, attack: dict | None = None) -> dict:
@@ -131,14 +145,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(out / "run.json", run_doc)
     _write_json(out / "metrics.json", _metrics_payload(report, cfg))
     model.save_checkpoint(record.model_state, out / "checkpoint.json")
+    trainer.save_record(record.prepared.structure, cfg, _record_path(out / "checkpoint.json"))
     print(f"macro AUC {report.auc_average:.4f} -> {out}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
-    prepared, state = _trained_or_loaded(args, _load_dataset(args), cfg)
-    report = trainer.evaluate_state(prepared, state)
+    report = _evaluate(args, cfg, perturb.AttackConfig())
     _write_json(Path(args.out) / "metrics.json", _metrics_payload(report, cfg))
     print(f"macro AUC {report.auc_average:.4f}")
     return 0
@@ -157,8 +171,7 @@ def _attack_config(args: argparse.Namespace, kind: str, seed: int) -> perturb.At
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     attack_cfg = _attack_config(args, args.attack, cfg.seed)   # checked before any training
-    prepared, state = _trained_or_loaded(args, _load_dataset(args), cfg)
-    report = perturb.attack_evaluate(prepared, state, attack_cfg)
+    report = _evaluate(args, cfg, attack_cfg)
     payload = _metrics_payload(report, cfg, attack=attack_cfg.__dict__)
     _write_json(Path(args.out) / "metrics.json", payload)
     print(f"{attack_cfg.kind}: macro AUC {report.auc_average:.4f}")

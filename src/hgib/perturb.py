@@ -74,13 +74,10 @@ def inject_feature_noise(
     return X + rho * r * rng.standard_normal(X.shape)
 
 
-def attack_evaluate(
-    prepared: Prepared, state: model.ModelState, cfg: AttackConfig
-) -> MetricsReport:
-    """Evaluate the trained model on a copy of the prepared structure with
-    the configured perturbation; no retraining, and `prepared` is left as
-    it was. The noise attack keeps the clean graph, the drop attack the
-    clean features."""
+def attacked(prepared: Prepared, cfg: AttackConfig) -> Prepared:
+    """A copy of the prepared structure with the configured perturbation
+    drawn; `prepared` is left as it was. The noise attack keeps the clean
+    graph, the drop attack the clean features."""
     structure = prepared.structure
     if cfg.kind == "drop":
         structure = replace(
@@ -91,4 +88,11 @@ def attack_evaluate(
             structure.features.data, cfg.rho, cfg.seed, cfg.per_vertex_max
         )
         structure = replace(structure, features=Tensor(noisy))
-    return evaluate_state(replace(prepared, structure=structure), state)
+    return replace(prepared, structure=structure)
+
+
+def attack_evaluate(
+    prepared: Prepared, state: model.ModelState, cfg: AttackConfig
+) -> MetricsReport:
+    """Evaluate the trained model on `attacked(prepared, cfg)`; no retraining."""
+    return evaluate_state(attacked(prepared, cfg), state)

@@ -1,9 +1,12 @@
 """Seeded full-batch transductive training loop with stratified
 train/test/labeled splits, the structure every run on one dataset shares,
-and multi-seed aggregation."""
+the run record that carries a run's structure beside its checkpoint, and
+multi-seed aggregation."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -12,7 +15,7 @@ import numpy as np
 
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step, propagate
-from .data import Dataset, fuse_and_build, normalize
+from .data import Dataset, fuse_and_build, normalize, write_text_atomic
 from .errors import DataError, check_field_types
 from .hypergraph import Hypergraph
 from .losses import LossConfig
@@ -160,6 +163,80 @@ def prepare(data: Dataset | Structure, cfg: TrainConfig) -> Prepared:
     masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
     structure = data if isinstance(data, Structure) else build(data, cfg.k_neighbors)
     return Prepared(structure, *masks)
+
+
+# The fields of a run's config that decide its graph (k) or its test split
+# (seed, train fraction); an evaluation of its checkpoint must share them.
+_COMPARED = ("k_neighbors", "seed", "train_fraction")
+
+
+def _fingerprint(dataset: Dataset, fused: np.ndarray) -> str:
+    """sha256 of a normalized dataset and its fused features: the vertex
+    count and modality widths, the features (`<f8`, C order), the labels
+    (`<i8`) and the class names. The widths are hashed, so the same columns
+    split into other modalities, which give another graph, differ too."""
+    widths = [X.shape[1] for X in dataset.modalities]
+    h = hashlib.sha256(np.array([dataset.n, len(widths), *widths], dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(fused, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
+    h.update(json.dumps(dataset.class_names).encode())
+    return h.hexdigest()
+
+
+def save_record(structure: Structure, cfg: TrainConfig, path) -> None:
+    """Write the run record of a training on `structure` under `cfg`: the
+    config, the class names, the input width, the fingerprint of the
+    normalized input and the hypergraph's member lists. It is compact,
+    timestamp-free JSON, written atomically."""
+    g = structure.graph
+    record = {
+        "config": cfg.to_dict(),
+        "class_names": structure.dataset.class_names,
+        "in_dim": structure.features.shape[1],
+        "fingerprint": _fingerprint(structure.dataset, structure.features.data),
+        "graph": {
+            "num_vertices": g.num_vertices,
+            "indptr": g.indptr.tolist(),
+            "indices": g.indices.tolist(),
+        },
+    }
+    write_text_atomic(path, json.dumps(record, separators=(",", ":")))
+
+
+def load_structure(path, dataset: Dataset, cfg: TrainConfig) -> Structure:
+    """The structure of the run whose record is at `path`, for `dataset`
+    under `cfg`: `dataset` normalized, and the hypergraph from the stored
+    member lists, so no kNN graph is built. A missing or malformed record,
+    a compared config field that differs from the run's (_COMPARED)
+    or another input (its fingerprint) is a DataError, raised before any
+    structure is built."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataError(
+            f"no run record at {path}; a checkpoint written without one must be retrained"
+        ) from exc
+    except ValueError as exc:
+        raise DataError(f"malformed run record {path}: {exc}") from exc
+    try:
+        run_cfg, stored, graph = record["config"], record["fingerprint"], record["graph"]
+        ran = {name: run_cfg[name] for name in _COMPARED}
+        members = graph["num_vertices"], np.array(graph["indptr"]), np.array(graph["indices"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed run record {path}: {exc!r}") from exc
+    for name, value in ran.items():
+        if value != getattr(cfg, name):
+            raise DataError(
+                f"checkpoint's run has {name}={value!r}, this call {name}={getattr(cfg, name)!r}"
+            )
+    dataset = normalize(dataset)
+    fused = np.hstack(dataset.modalities)
+    if stored != _fingerprint(dataset, fused):
+        raise DataError("checkpoint's run had other input data: its fingerprint differs")
+    if members[0] != dataset.n:
+        raise DataError(f"malformed run record {path}: its graph has {members[0]!r} vertices")
+    return Structure(dataset, cfg.k_neighbors, Tensor(fused), Hypergraph.from_members(*members))
 
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:

@@ -136,7 +136,12 @@ class TestTrain:
         metrics_doc = json.loads((out / "metrics.json").read_text())
         jsonschema.validate(metrics_doc, load_schema("metrics.schema.json"))
         assert len(run_doc["loss_trace"]) == 8
-        assert (out / "checkpoint.json").exists()
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        jsonschema.validate(checkpoint, load_schema("checkpoint.schema.json"))
+        record = json.loads((out / "checkpoint.meta.json").read_text())
+        jsonschema.validate(record, load_schema("checkpoint.meta.schema.json"))
+        assert record["config"] == run_doc["config"]
+        assert record["in_dim"] == checkpoint[0]["rows"]
 
     def test_missing_label_file_exit_2(self, tmp_path, capsys):
         code = main(
@@ -348,7 +353,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(train_args(synth_cfg, out)) == 0
         names = sorted(os.path.basename(dst) for _, dst in replaced)
-        assert names == ["checkpoint.json", "metrics.json", "run.json"]
+        assert names == ["checkpoint.json", "checkpoint.meta.json", "metrics.json", "run.json"]
         assert all(os.path.dirname(src) == str(out) for src, _ in replaced)
         assert sorted(os.listdir(out)) == names
 
@@ -860,3 +865,157 @@ class TestAttackSettingsCheckedFirst:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert calls == Counter()
         assert os.listdir(tmp_path) == []
+
+    def test_impossible_drop_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        # modality 0 alone at k=5: some vertices are in no edge but their own,
+        # so every draw of 20 % of the edges uncovers one of them
+        def no_train(*args):
+            raise AssertionError("trained before the attack was drawn")
+
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data)]) == 0
+        monkeypatch.setattr(hgib.trainer, "train", no_train)
+        argv = ["attack", "--features", str(data / "modality_0.csv"), "--labels", str(data / "labels.csv")]
+        assert main([*argv, "--k", "5", "--attack", "drop", "--out", str(tmp_path / "attack")]) == 2
+        assert capsys.readouterr().err == "error: could not drop hyperedges without uncovering a vertex\n"
+        assert not (tmp_path / "attack" / "metrics.json").exists()
+
+
+class TestCheckpointKnowsItsRun:
+    """`train` writes a run record beside its checkpoint. `eval` and
+    `attack --checkpoint` take the graph from it, so they build no kNN
+    graph, and refuse a call whose graph or test split would differ."""
+
+    @pytest.fixture(scope="class")
+    def csv_run(self, tmp_path_factory, synth_cfg):
+        """A run trained from CSV files at k=5, seed 1, and its data flags."""
+        tmp_path = tmp_path_factory.mktemp("csv_run")
+        data = synth_csv_args(tmp_path, synth_cfg)
+        assert main(["train", *data, "--epochs", "2", "--k", "5", "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+        return tmp_path / "run", data
+
+    @pytest.fixture
+    def knn_calls(self, monkeypatch):
+        calls = {"knn": 0}
+        monkeypatch.setattr(
+            hgib.data, "build_knn_hyperedges", counted(calls, "knn", hgib.data.build_knn_hyperedges)
+        )
+        return calls
+
+    @staticmethod
+    def checkpoint_args(run, data, *extra):
+        return [*data, "--k", "5", "--seed", "1", "--checkpoint", str(run / "checkpoint.json"), *extra]
+
+    @pytest.mark.parametrize("source", ["synth", "csv"])
+    def test_stored_graph_equals_a_fresh_build(self, tmp_path, synth_cfg, source):
+        if source == "synth":
+            data, dataset = ["--synth", "default"], generate_synthetic(SynthConfig(seed=1))
+        else:
+            data = synth_csv_args(tmp_path, synth_cfg)
+            dataset = hgib.data.load_csv(data[1:-2], data[-1])
+        out = tmp_path / "run"
+        assert main(["train", *data, "--epochs", "1", "--k", "5", "--out", str(out)]) == 0
+        graph = json.loads((out / "checkpoint.meta.json").read_text())["graph"]
+        _, fresh = hgib.data.fuse_and_build(hgib.data.normalize(dataset), 5)
+        assert graph["num_vertices"] == fresh.num_vertices
+        assert np.array_equal(graph["indptr"], fresh.indptr)
+        assert np.array_equal(graph["indices"], fresh.indices)
+
+    def test_record_is_reproducible(self, tmp_path, csv_run):
+        run, data = csv_run
+        out = tmp_path / "again"
+        assert main(["train", *data, "--epochs", "2", "--k", "5", "--seed", "1", "--out", str(out)]) == 0
+        assert (out / "checkpoint.meta.json").read_bytes() == (run / "checkpoint.meta.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "head", [["eval"], ["attack", "--attack", "none"], ["attack", "--attack", "drop"], ["attack", "--attack", "noise"]],
+        ids=["eval", "attack-none", "attack-drop", "attack-noise"],
+    )
+    def test_no_knn_graph_built(self, tmp_path, csv_run, knn_calls, head):
+        run, data = csv_run
+        assert main([*head, *self.checkpoint_args(run, data, "--out", str(tmp_path))]) == 0
+        assert knn_calls == {"knn": 0}
+        if head[-1] in ("eval", "none"):
+            got = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
+            assert got == json.loads((run / "metrics.json").read_text())["metrics"]
+
+    @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "drop"]], ids=["eval", "attack"])
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--k", "4"], "checkpoint's run has k_neighbors=5, this call k_neighbors=4"),
+            (["--seed", "2"], "checkpoint's run has seed=1, this call seed=2"),
+            (["--train-fraction", "0.7"], "checkpoint's run has train_fraction=0.8, this call train_fraction=0.7"),
+        ],
+        ids=["k", "seed", "train_fraction"],
+    )
+    def test_other_graph_or_split_exit_2(self, tmp_path, csv_run, knn_calls, capsys, command, flags, error):
+        run, data = csv_run
+        assert main([*command, *self.checkpoint_args(run, data, *flags, "--out", str(tmp_path))]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert knn_calls == {"knn": 0}
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_fields_that_change_neither_are_not_compared(self, tmp_path, csv_run, knn_calls):
+        run, data = csv_run
+        flags = ["--label-fraction", "0.5", "--epochs", "7", "--lr", "0.1", "--mu", "0", "--xi", "0"]
+        assert main(["eval", *self.checkpoint_args(run, data, *flags, "--out", str(tmp_path))]) == 0
+        got = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
+        assert got == json.loads((run / "metrics.json").read_text())["metrics"]
+        assert knn_calls == {"knn": 0}
+
+    @pytest.mark.parametrize("change", ["value", "merged_modalities"])
+    @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "noise"]], ids=["eval", "attack"])
+    def test_other_input_exit_2(self, tmp_path, csv_run, knn_calls, capsys, command, change):
+        run, data = csv_run
+        modalities = [Path(f).read_text().splitlines() for f in data[1:-2]]
+        if change == "value":
+            # one feature value of one vertex, in a file that is otherwise the same
+            first, *rest = modalities[0][1].split(",")
+            modalities[0][1] = ",".join([first, repr(float(rest[0]) + 0.5), *rest[1:]])
+        else:
+            # the same columns as one modality: the same fused features, another graph
+            modalities = [[a + "," + b.split(",", 1)[1] for a, b in zip(*modalities)]]
+        features = []
+        for i, lines in enumerate(modalities):
+            features.append(tmp_path / f"m{i}.csv")
+            features[-1].write_text("\n".join(lines) + "\n")
+        changed = ["--features", *map(str, features), "--labels", data[-1]]
+        assert main([*command, *self.checkpoint_args(run, changed, "--out", str(tmp_path / "out"))]) == 2
+        assert capsys.readouterr().err == "error: checkpoint's run had other input data: its fingerprint differs\n"
+        assert knn_calls == {"knn": 0}
+
+    @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "drop"]], ids=["eval", "attack"])
+    def test_missing_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, command):
+        run, data = csv_run
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "checkpoint.json").write_bytes((run / "checkpoint.json").read_bytes())
+        assert main([*command, *self.checkpoint_args(old, data, "--out", str(tmp_path / "out"))]) == 2
+        record = old / "checkpoint.meta.json"
+        assert capsys.readouterr().err == (
+            f"error: no run record at {record}; a checkpoint written without one must be retrained\n"
+        )
+        assert knn_calls == {"knn": 0}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("graph"),
+            lambda r: r["config"].pop("seed"),
+            lambda r: r["graph"].update(indices=[0.5] * len(r["graph"]["indices"])),
+            lambda r: r["graph"].update(num_vertices=r["graph"]["num_vertices"] + 1),
+        ],
+        ids=["no-graph", "no-seed", "float-members", "vertex-count"],
+    )
+    def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, edit):
+        run, data = csv_run
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "checkpoint.json").write_bytes((run / "checkpoint.json").read_bytes())
+        record = json.loads((run / "checkpoint.meta.json").read_text())
+        edit(record)
+        (bad / "checkpoint.meta.json").write_text(json.dumps(record))
+        assert main(["eval", *self.checkpoint_args(bad, data, "--out", str(tmp_path / "out"))]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert knn_calls == {"knn": 0}
