@@ -18,6 +18,7 @@ from pathlib import Path
 from . import model, perturb, trainer
 from .data import Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
 from .errors import HgibError
+from .hypergraph import Hypergraph
 from .losses import LossConfig
 from .metrics import MetricsReport
 from .trainer import TrainConfig
@@ -73,11 +74,6 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return generate_synthetic(_config(SynthConfig, _read_json(args.synth)))
 
 
-def _record_path(checkpoint) -> Path:
-    """The run record beside a checkpoint: `checkpoint.json` -> `checkpoint.meta.json`."""
-    return Path(checkpoint).with_suffix(".meta.json")
-
-
 def _evaluate(
     args: argparse.Namespace, cfg: TrainConfig, attack: perturb.AttackConfig
 ) -> MetricsReport:
@@ -89,7 +85,7 @@ def _evaluate(
     state = None
     if args.checkpoint:
         state = model.load_checkpoint(args.checkpoint)   # fails before the record is read
-        data = trainer.load_structure(_record_path(args.checkpoint), data, cfg)
+        data = trainer.load_structure(args.checkpoint, data, cfg)
     prepared = trainer.prepare(data, cfg)
     attacked = perturb.attacked(prepared, attack)
     if state is None:
@@ -145,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(out / "run.json", run_doc)
     _write_json(out / "metrics.json", _metrics_payload(report, cfg))
     model.save_checkpoint(record.model_state, out / "checkpoint.json")
-    trainer.save_record(record.prepared.structure, cfg, _record_path(out / "checkpoint.json"))
+    trainer.save_record(record.prepared.structure, cfg, out / "checkpoint.json")
     print(f"macro AUC {report.auc_average:.4f} -> {out}")
     return 0
 
@@ -186,14 +182,19 @@ def _plan(args: argparse.Namespace) -> list[tuple]:
     return [(kind, (), kind) for kind in args.attacks]
 
 
-def _attempt(errors: list, rows, seed: int, step):
-    """step(), or None after recording its error against each of `rows`."""
-    try:
-        return step()
-    except (HgibError, ValueError) as exc:
-        for i in rows:
-            errors[i] = f"seed {seed}: {exc}"
-        return None
+def _trained(structure: trainer.Structure, cfg: TrainConfig) -> tuple:
+    """The masks and model state of a training on `structure`. Its RunRecord,
+    which holds the structure and so its P, is not kept."""
+    record = trainer.train(structure, cfg)
+    p = record.prepared
+    return (p.train_mask, p.labeled_mask, p.test_mask), record.model_state
+
+
+def _released(structure: trainer.Structure) -> trainer.Structure:
+    """A copy of `structure` over its graph's member lists that holds
+    neither P nor P·X: once the original is dropped, they are freed."""
+    g = structure.graph
+    return replace(structure, graph=Hypergraph.from_members(g.num_vertices, g.indptr, g.indices))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -209,39 +210,66 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     plan = _plan(args)
     reports = [[] for _ in plan]
-    errors = [None] * len(plan)
+    errors = [None] * len(plan)   # each row's earliest failure: (seed position, error)
+
+    def attempt(rows, at: int, step):
+        """step(), or None after recording its error against each of `rows`
+        as their failure at seed position `at`."""
+        try:
+            return step()
+        except (HgibError, ValueError) as exc:
+            for i in rows:
+                errors[i] = (at, f"seed {args.seeds[at]}: {exc}")
+            return None
+
+    def live(i: int, at: int) -> bool:
+        # a row runs only at seeds before its earliest failure, so each
+        # failure recorded for it is earlier than the one it replaces
+        return errors[i] is None or errors[i][0] > at
+
     # one structure for every seed and row: it depends on neither, and a
     # failed build fails every row with the first seed's error
-    structure = _attempt(
-        errors, range(len(plan)), args.seeds[0], lambda: trainer.build(dataset, cfg.k_neighbors)
-    )
-    for seed in args.seeds:
-        changes = {}   # each change trains once per seed, for its rows not yet failed
+    structure = attempt(range(len(plan)), 0, lambda: trainer.build(dataset, cfg.k_neighbors))
+    # every training first: each change trains once per seed, for its rows
+    # not yet failed, and keeps its masks and model state
+    runs = {}
+    for at, seed in enumerate(args.seeds):
+        changes = {}
         for i, (_, change, _) in enumerate(plan):
-            if errors[i] is None:
+            if live(i, at):
                 changes.setdefault(change, []).append(i)
         for change, todo in changes.items():
-            record = _attempt(
-                errors, todo, seed,
-                lambda: trainer.train(structure, replace(cfg, seed=seed, **dict(change))),
+            run = attempt(
+                todo, at,
+                lambda: _trained(structure, replace(cfg, seed=seed, **dict(change))),
             )
-            if record is None:
-                continue
-            for i in todo:
-                report = _attempt(
-                    errors, [i], seed,
+            if run is not None:
+                runs[at, change] = run
+    # then the rows whose attack keeps the clean graph, on its P; then the
+    # drop rows, after that P is released, so that no dropped P is built
+    # beside it. A row still live has its run in `runs`.
+    for drops in (False, True):
+        if drops and structure is not None:
+            structure = _released(structure)
+        for at, seed in enumerate(args.seeds):
+            for i, (_, change, kind) in enumerate(plan):
+                if (kind == "drop") != drops or not live(i, at):
+                    continue
+                masks, state = runs[at, change]
+                report = attempt(
+                    [i], at,
                     lambda: perturb.attack_evaluate(
-                        record.prepared, record.model_state,
-                        replace(attack, kind=plan[i][2], seed=seed),
+                        trainer.Prepared(structure, *masks), state,
+                        replace(attack, kind=kind, seed=seed),
                     ),
                 )
                 if report is not None:
                     reports[i].append(report)
     rows = [
-        {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(runs)}
+        {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(row_reports)}
         if error is None
-        else {"setting": setting, "status": "error", "error": error}
-        for (setting, _, _), runs, error in zip(plan, reports, errors)
+        else {"setting": setting, "status": "error", "error": error[1]}
+        for (setting, _, _), row_reports, error in zip(plan, reports, errors)
     ]
     table = {"grid": args.grid, "seeds": list(args.seeds), "rows": rows}
     _write_json(Path(args.out) / "table.json", table)

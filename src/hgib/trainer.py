@@ -10,6 +10,7 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -183,10 +184,20 @@ def _fingerprint(dataset: Dataset, fused: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def save_record(structure: Structure, cfg: TrainConfig, path) -> None:
-    """Write the run record of a training on `structure` under `cfg`: the
-    config, the class names, the input width, the fingerprint of the
-    normalized input and the hypergraph's member lists. It is compact,
+def _record_path(checkpoint) -> Path:
+    """The run record beside a checkpoint: `checkpoint.json` -> `checkpoint.meta.json`."""
+    return Path(checkpoint).with_suffix(".meta.json")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
+    """Write, beside the checkpoint file of a training on `structure` under
+    `cfg`, its run record: the config, the class names, the input width,
+    the fingerprint of the normalized input, the hypergraph's member lists
+    and the sha256 of the checkpoint's bytes. It is compact,
     timestamp-free JSON, written atomically."""
     g = structure.graph
     record = {
@@ -199,17 +210,20 @@ def save_record(structure: Structure, cfg: TrainConfig, path) -> None:
             "indptr": g.indptr.tolist(),
             "indices": g.indices.tolist(),
         },
+        "checkpoint_sha256": _sha256(checkpoint),
     }
-    write_text_atomic(path, json.dumps(record, separators=(",", ":")))
+    write_text_atomic(_record_path(checkpoint), json.dumps(record, separators=(",", ":")))
 
 
-def load_structure(path, dataset: Dataset, cfg: TrainConfig) -> Structure:
-    """The structure of the run whose record is at `path`, for `dataset`
-    under `cfg`: `dataset` normalized, and the hypergraph from the stored
-    member lists, so no kNN graph is built. A missing or malformed record,
-    a compared config field that differs from the run's (_COMPARED)
-    or another input (its fingerprint) is a DataError, raised before any
-    structure is built."""
+def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
+    """The structure of the run whose record is beside `checkpoint`, for
+    `dataset` under `cfg`: `dataset` normalized, and the hypergraph from the
+    stored member lists, so no kNN graph is built. A missing or malformed
+    record, a checkpoint other than the one the record was written with
+    (checked first), a compared config field that differs from the run's
+    (_COMPARED) or another input (its fingerprint) is a DataError, raised
+    before any structure is built."""
+    path = _record_path(checkpoint)
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -220,11 +234,17 @@ def load_structure(path, dataset: Dataset, cfg: TrainConfig) -> Structure:
     except ValueError as exc:
         raise DataError(f"malformed run record {path}: {exc}") from exc
     try:
+        checkpoint_sha256 = record["checkpoint_sha256"]
         run_cfg, stored, graph = record["config"], record["fingerprint"], record["graph"]
         ran = {name: run_cfg[name] for name in _COMPARED}
         members = graph["num_vertices"], np.array(graph["indptr"]), np.array(graph["indices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed run record {path}: {exc!r}") from exc
+    if checkpoint_sha256 != _sha256(checkpoint):
+        raise DataError(
+            f"{checkpoint} is not the checkpoint its run record was written with: "
+            "its sha256 differs"
+        )
     for name, value in ran.items():
         if value != getattr(cfg, name):
             raise DataError(

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from functools import cached_property
@@ -15,6 +16,7 @@ import pytest
 import hgib.autodiff
 import hgib.cli
 import hgib.data
+import hgib.errors
 import hgib.losses
 import hgib.metrics
 import hgib.perturb
@@ -63,6 +65,13 @@ def counted(calls, name, fn):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def count_builds(monkeypatch, calls, owner, name):
+    """Count the builds of the cached property `owner.name` in calls[name]."""
+    prop = cached_property(counted(calls, name, getattr(owner, name).func))
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
 
 
 def synth_csv_args(tmp_path, synth_cfg):
@@ -673,7 +682,7 @@ class TestSweep:
         assert [row["status"] for row in rows] == ["ok"]
 
     def test_attack_grid_trains_each_seed_once(self, tmp_path, synth_cfg, monkeypatch):
-        calls = {"train": 0, "knn": 0}
+        calls = {"train": 0, "knn": 0, "propagation_tensor": 0}
         monkeypatch.setattr(
             hgib.trainer, "train", counted(calls, "train", hgib.trainer.train)
         )
@@ -682,6 +691,7 @@ class TestSweep:
             "build_knn_hyperedges",
             counted(calls, "knn", hgib.data.build_knn_hyperedges),
         )
+        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
         out = tmp_path / "sweep"
         code = main(
             [
@@ -706,8 +716,9 @@ class TestSweep:
             ]
         )
         assert code == 0
-        # two modalities: one kNN graph each, shared by both seeds
-        assert calls == {"train": 2, "knn": 2}
+        # two modalities: one kNN graph each, shared by both seeds; the clean
+        # P once, and one P per (drop row, seed), none of them the clean P again
+        assert calls == {"train": 2, "knn": 2, "propagation_tensor": 3}
 
         monkeypatch.undo()
         dataset = generate_synthetic(SynthConfig(**json.loads(Path(synth_cfg).read_text())))
@@ -774,6 +785,42 @@ class TestSweep:
         good, bad = json.loads((tmp_path / "table.json").read_text())["rows"]
         assert good["status"] == "ok" and bad["status"] == "error"
 
+    @pytest.mark.parametrize("train_fails_at", [2, 3])
+    def test_each_row_reports_its_first_failure(self, tmp_path, synth_cfg, monkeypatch, train_fails_at):
+        # the drop row fails at seed 1 and is not evaluated again; the none
+        # row fails when its training does. A drop row's failure at seed 1
+        # wins over a training that fails at a later seed.
+        calls = {"train": [], "drop": []}
+        train, drop = hgib.trainer.train, hgib.perturb.drop_hyperedges
+
+        def failing_train(data, cfg):
+            calls["train"].append(cfg.seed)
+            if cfg.seed == train_fails_at:
+                raise hgib.errors.DataError(f"training refused at seed {cfg.seed}")
+            return train(data, cfg)
+
+        def failing_drop(g, fraction, seed):
+            calls["drop"].append(seed)
+            if seed == 1:
+                raise hgib.errors.StructureError("drop refused at seed 1")
+            return drop(g, fraction, seed)
+
+        monkeypatch.setattr(hgib.trainer, "train", failing_train)
+        monkeypatch.setattr(hgib.perturb, "drop_hyperedges", failing_drop)
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "attacks", "--attacks", "none", "drop"]
+        argv += ["--seeds", "1", "2", "3", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert rows == [
+            {
+                "setting": "none",
+                "status": "error",
+                "error": f"seed {train_fails_at}: training refused at seed {train_fails_at}",
+            },
+            {"setting": "drop", "status": "error", "error": "seed 1: drop refused at seed 1"},
+        ]
+        assert calls == {"train": list(range(1, train_fails_at + 1)), "drop": [1]}
+
     @pytest.mark.parametrize(
         "grid", [["labels", "--fractions", "1.0", "0.5"], ["attacks", "--attacks", "none", "drop"]]
     )
@@ -799,19 +846,14 @@ class TestSweep:
     def test_one_structure_per_call(self, tmp_path, synth_cfg, monkeypatch, grid, counts):
         calls = Counter()
 
-        def count_builds(owner, name):
-            prop = cached_property(counted(calls, name, getattr(owner, name).func))
-            prop.__set_name__(owner, name)
-            monkeypatch.setattr(owner, name, prop)
-
         def count_calls(module, attr, name):
             monkeypatch.setattr(module, attr, counted(calls, name, getattr(module, attr)))
 
         count_calls(hgib.trainer, "train", "train")
         count_calls(hgib.trainer, "normalize", "normalize")
         count_calls(hgib.data, "build_knn_hyperedges", "knn")
-        count_builds(Hypergraph, "propagation_tensor")
-        count_builds(hgib.trainer.Structure, "propagated_features")
+        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
+        count_builds(monkeypatch, calls, hgib.trainer.Structure, "propagated_features")
         argv = ["sweep", "--synth", synth_cfg, "--grid", *grid, "--seeds", "1", "2"]
         assert main([*argv, "--epochs", "2", "--k", "5", "--out", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "table.json").read_text())["rows"]
@@ -837,6 +879,44 @@ class TestSweep:
         rows = json.loads((tmp_path / "table.json").read_text())["rows"]
         error = "seed 3: k must satisfy 0 <= k < n, got k=45, n=45"
         assert rows == [{"setting": s, "status": "error", "error": error} for s in settings]
+
+
+class TestSweepMemory:
+    """At n = 1500 one n x n float64 array is 17 MiB, more than anything
+    else a sweep holds. The drop rows are evaluated after the clean graph's
+    P is released, so each dropped graph's P is built beside no other n x n
+    array. No garbage is collected first: the release is by reference count."""
+
+    n = 1500
+
+    def test_dropped_p_built_beside_no_other_n_by_n_array(self, tmp_path, monkeypatch):
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps({"n": self.n, "dims": [8, 8], "seed": 3}))
+        build = Hypergraph.propagation_tensor.func
+        peaks = []
+
+        def traced_build(g):
+            tracemalloc.reset_peak()
+            P = build(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return P
+
+        prop = cached_property(traced_build)
+        prop.__set_name__(Hypergraph, "propagation_tensor")
+        monkeypatch.setattr(Hypergraph, "propagation_tensor", prop)
+        argv = ["sweep", "--synth", str(synth), "--grid", "attacks", "--attacks", "none", "drop"]
+        argv += ["--seeds", "1", "2", "--epochs", "1", "--k", "10", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        # the clean P, then one dropped P per seed. While each dropped P is
+        # built, the sweep holds that P, the dataset, the member lists, the
+        # model states and one block's buffers: well under half an n x n array
+        p_bytes = self.n * self.n * 8
+        assert len(peaks) == 3
+        assert max(peaks[1:]) < p_bytes + p_bytes // 2, [peak / 2**20 for peak in peaks]
 
 
 class TestAttackSettingsCheckedFirst:
@@ -998,15 +1078,37 @@ class TestCheckpointKnowsItsRun:
         )
         assert knn_calls == {"knn": 0}
 
+    @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "drop"]], ids=["eval", "attack"])
+    def test_other_runs_checkpoint_exit_2(self, tmp_path, csv_run, knn_calls, capsys, command):
+        # run B's checkpoint beside run A's record would score B's model on
+        # A's test split, which overlaps B's training vertices
+        run, data = csv_run
+        other, mixed = tmp_path / "other", tmp_path / "mixed"
+        argv = ["train", *data, "--epochs", "2", "--k", "5", "--seed", "2", "--out", str(other)]
+        assert main(argv) == 0
+        mixed.mkdir()
+        (mixed / "checkpoint.json").write_bytes((other / "checkpoint.json").read_bytes())
+        (mixed / "checkpoint.meta.json").write_bytes((run / "checkpoint.meta.json").read_bytes())
+        capsys.readouterr()
+        knn_calls["knn"] = 0
+        assert main([*command, *self.checkpoint_args(mixed, data, "--out", str(tmp_path / "out"))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {mixed / 'checkpoint.json'} is not the checkpoint its run record was "
+            "written with: its sha256 differs\n"
+        )
+        assert knn_calls == {"knn": 0}
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [
+            lambda r: r.pop("checkpoint_sha256"),
             lambda r: r.pop("graph"),
             lambda r: r["config"].pop("seed"),
             lambda r: r["graph"].update(indices=[0.5] * len(r["graph"]["indices"])),
             lambda r: r["graph"].update(num_vertices=r["graph"]["num_vertices"] + 1),
         ],
-        ids=["no-graph", "no-seed", "float-members", "vertex-count"],
+        ids=["no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count"],
     )
     def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, edit):
         run, data = csv_run
