@@ -197,6 +197,14 @@ def _released(structure: trainer.Structure) -> trainer.Structure:
     return replace(structure, graph=Hypergraph.from_members(g.num_vertices, g.indptr, g.indices))
 
 
+def _attempt(seed: int, step):
+    """step()'s value, or its failure as the row message `seed <s>: <reason>`."""
+    try:
+        return step()
+    except (HgibError, ValueError) as exc:
+        return f"seed {seed}: {exc}"
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     if len(args.seeds) < 2:
@@ -209,67 +217,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     attack = _attack_config(args, "none", args.seeds[0])
     dataset = _load_dataset(args)
     plan = _plan(args)
-    reports = [[] for _ in plan]
-    errors = [None] * len(plan)   # each row's earliest failure: (seed position, error)
-
-    def attempt(rows, at: int, step):
-        """step(), or None after recording its error against each of `rows`
-        as their failure at seed position `at`."""
-        try:
-            return step()
-        except (HgibError, ValueError) as exc:
-            for i in rows:
-                errors[i] = (at, f"seed {args.seeds[at]}: {exc}")
-            return None
-
-    def live(i: int, at: int) -> bool:
-        # a row runs only at seeds before its earliest failure, so each
-        # failure recorded for it is earlier than the one it replaces
-        return errors[i] is None or errors[i][0] > at
-
     # one structure for every seed and row: it depends on neither, and a
-    # failed build fails every row with the first seed's error
-    structure = attempt(range(len(plan)), 0, lambda: trainer.build(dataset, cfg.k_neighbors))
-    # every training first: each change trains once per seed, for its rows
-    # not yet failed, and keeps its masks and model state
-    runs = {}
-    for at, seed in enumerate(args.seeds):
-        changes = {}
-        for i, (_, change, _) in enumerate(plan):
-            if live(i, at):
-                changes.setdefault(change, []).append(i)
-        for change, todo in changes.items():
-            run = attempt(
-                todo, at,
-                lambda: _trained(structure, replace(cfg, seed=seed, **dict(change))),
+    # failed build fails every change at the first seed
+    structure = _attempt(args.seeds[0], lambda: trainer.build(dataset, cfg.k_neighbors))
+    built = not isinstance(structure, str)
+    # each distinct change trains its seeds in order, to its first failure,
+    # while the clean P exists; a run is (masks, state) or its row message
+    runs = {change: [] for _, change, _ in plan}
+    for change, change_runs in runs.items():
+        for seed in args.seeds:
+            change_runs.append(
+                _attempt(seed, lambda: _trained(structure, replace(cfg, seed=seed, **dict(change))))
+                if built else structure
             )
-            if run is not None:
-                runs[at, change] = run
-    # then the rows whose attack keeps the clean graph, on its P; then the
-    # drop rows, after that P is released, so that no dropped P is built
-    # beside it. A row still live has its run in `runs`.
-    for drops in (False, True):
-        if drops and structure is not None:
+            if isinstance(change_runs[-1], str):
+                break
+
+    def row(change: tuple, kind: str):
+        """The row's metrics over its seeds, or the message of its first
+        failure, its run's or its own."""
+        reports = []
+        for seed, run in zip(args.seeds, runs[change]):
+            if isinstance(run, str):
+                return run
+            masks, state = run
+            report = _attempt(seed, lambda: perturb.attack_evaluate(
+                trainer.Prepared(structure, *masks), state, replace(attack, kind=kind, seed=seed),
+            ))
+            if isinstance(report, str):
+                return report
+            reports.append(report)
+        return trainer.aggregate_metrics(reports)
+
+    # each row reads its seeds in order, to its first failure: first the rows
+    # whose attack keeps the clean graph, on its P; then, after that P is
+    # released, the drop rows, so that no dropped P is built beside it
+    drops = built and perturb.drop_count(structure.graph, args.drop_fraction) > 0
+    results = {}
+    for released in (False, True):
+        if released and drops:
             structure = _released(structure)
-        for at, seed in enumerate(args.seeds):
-            for i, (_, change, kind) in enumerate(plan):
-                if (kind == "drop") != drops or not live(i, at):
-                    continue
-                masks, state = runs[at, change]
-                report = attempt(
-                    [i], at,
-                    lambda: perturb.attack_evaluate(
-                        trainer.Prepared(structure, *masks), state,
-                        replace(attack, kind=kind, seed=seed),
-                    ),
-                )
-                if report is not None:
-                    reports[i].append(report)
+        for i, (_, change, kind) in enumerate(plan):
+            if (drops and kind == "drop") == released:
+                results[i] = row(change, kind)
     rows = [
-        {"setting": setting, "status": "ok", "metrics": trainer.aggregate_metrics(row_reports)}
-        if error is None
-        else {"setting": setting, "status": "error", "error": error[1]}
-        for (setting, _, _), row_reports, error in zip(plan, reports, errors)
+        {"setting": setting, "status": "error", "error": results[i]}
+        if isinstance(results[i], str)
+        else {"setting": setting, "status": "ok", "metrics": results[i]}
+        for i, (setting, _, _) in enumerate(plan)
     ]
     table = {"grid": args.grid, "seeds": list(args.seeds), "rows": rows}
     _write_json(Path(args.out) / "table.json", table)

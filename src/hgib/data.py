@@ -213,7 +213,7 @@ def fuse_and_build(dataset: Dataset, k: int) -> tuple[Tensor, Hypergraph]:
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Balanced Gaussian clusters; class means scaled so their minimum
     pairwise distance is separation * within_std * sqrt(dim). The features
-    are raw; `trainer.prepare` normalizes them."""
+    are raw; `trainer.build` or `trainer.load_structure` normalizes them."""
     rng = substream(cfg.seed, "synth")
     labels = np.arange(cfg.n) % cfg.num_classes
     labels = labels[rng.permutation(cfg.n)]

@@ -36,12 +36,18 @@ class AttackConfig:
             raise ValueError("rho >= 0 required")
 
 
+def drop_count(g: Hypergraph, fraction: float) -> int:
+    """floor(fraction * |E|): the number of hyperedges a drop removes. At 0
+    the drop returns `g` itself."""
+    return int(np.floor(fraction * g.num_hyperedges))
+
+
 def drop_hyperedges(g: Hypergraph, fraction: float, seed: int) -> Hypergraph:
-    """Remove a uniformly random floor(fraction * |E|) hyperedges, resampling
-    (bounded) until every vertex keeps at least one membership."""
+    """Remove a uniformly random drop_count(g, fraction) hyperedges,
+    resampling (bounded) until every vertex keeps at least one membership."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction in [0, 1)")
-    n_drop = int(np.floor(fraction * g.num_hyperedges))
+    n_drop = drop_count(g, fraction)
     if n_drop == 0:
         return g
     rng = substream(seed, "attack")

@@ -1,7 +1,9 @@
 import errno
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import sys
 import tracemalloc
 from collections import Counter
@@ -13,6 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import hgib
 import hgib.autodiff
 import hgib.cli
 import hgib.data
@@ -367,31 +370,99 @@ class TestTrain:
         assert sorted(os.listdir(out)) == names
 
 
-class TestLibraryHoldsOnlyWhatRuns:
-    # `tsum` runs on no path of the program: the benchmark's per-layer trace
-    # reduces each conv output with it (hgibbench/workloads.py, isolated_backward)
-    EXEMPT = {"hgib.autodiff.tsum"}
+def _public_callables(module):
+    """(owner, attribute, qualified name, descriptor) for each public function
+    of `module` and each public method, property or constructor of its
+    classes. Dataclass-generated methods are not source, so they are left out."""
+    def source(fn):
+        return inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
 
-    def test_train_and_eval_call_every_public_op_and_loss(self, tmp_path, monkeypatch):
-        public = {}   # id(function) -> (function, qualified name)
-        for module in (hgib.autodiff, hgib.losses):
-            for name, fn in vars(module).items():
-                if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
-                    public[id(fn)] = (fn, f"{module.__name__}.{name}")
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__ or name.startswith("_"):
+            continue
+        if source(value):
+            yield module, name, f"{module.__name__}.{name}", value
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                fn = getattr(member, "fget", None) or getattr(member, "func", None)
+                fn = fn or getattr(member, "__func__", member)
+                if source(fn) and (attr == "__init__" or not attr.startswith("_")):
+                    yield value, attr, f"{module.__name__}.{name}.{attr}", member
+
+
+def _counting(owner, attr, member, calls, name):
+    """`owner.attr`, which is `member`, with each call of its function
+    counted in calls[name]."""
+    if isinstance(member, property):
+        return property(counted(calls, name, member.fget), member.fset, member.fdel)
+    if isinstance(member, cached_property):
+        prop = cached_property(counted(calls, name, member.func))
+        prop.__set_name__(owner, attr)
+        return prop
+    if isinstance(member, (classmethod, staticmethod)):
+        return type(member)(counted(calls, name, member.__func__))
+    return counted(calls, name, member)
+
+
+class TestLibraryHoldsOnlyWhatRuns:
+    """Every public function, method, property and constructor of the
+    package runs on some command's path, apart from the four that only the
+    benchmark calls."""
+
+    EXEMPT = {
+        # hgibbench/checks.py, perturbed: the drop oracle's graph, from its dense H
+        "hgib.hypergraph.Hypergraph.__init__",
+        # hgibbench/checks.py, build_reference and perturbed: graphs against dense oracles
+        "hgib.hypergraph.Hypergraph.incidence",
+        # hgibbench/checks.py, build_reference, and workloads.py, setup_seconds: P as an array
+        "hgib.hypergraph.Hypergraph.propagation",
+        # hgibbench/workloads.py, isolated_backward: a conv output reduced to a scalar
+        "hgib.autodiff.tsum",
+    }
+
+    def test_the_commands_call_every_public_name(self, tmp_path, monkeypatch):
+        modules = [
+            importlib.import_module(f"hgib.{info.name}")
+            for info in pkgutil.iter_modules(hgib.__path__)
+        ]
         calls = Counter()
+        names = set()
+        functions = {}   # id(function) -> (function, qualified name)
+        for module in modules:
+            for owner, attr, name, member in _public_callables(module):
+                names.add(name)
+                if owner is module:
+                    functions[id(member)] = (member, name)
+                else:
+                    monkeypatch.setattr(owner, attr, _counting(owner, attr, member, calls, name))
+        # a function runs under each name a module imported it by
         for modname, module in list(sys.modules.items()):
-            if modname != "hgib" and not modname.startswith("hgib."):
-                continue
-            for attr, value in list(vars(module).items()):
-                hit = public.get(id(value))
-                if hit is not None and hit[0] is value:
-                    monkeypatch.setattr(module, attr, counted(calls, hit[1], value))
-        run = ["--synth", "default", "--epochs", "1", "--seed", "1"]
-        assert main(["train", *run, "--out", str(tmp_path / "train")]) == 0
-        checkpoint = str(tmp_path / "train" / "checkpoint.json")
-        assert main(["eval", *run, "--checkpoint", checkpoint, "--out", str(tmp_path / "eval")]) == 0
-        names = {name for _, name in public.values()}
+            if modname == "hgib" or modname.startswith("hgib."):
+                for attr, value in list(vars(module).items()):
+                    hit = functions.get(id(value))
+                    if hit is not None and hit[0] is value:
+                        monkeypatch.setattr(module, attr, counted(calls, hit[1], value))
+
+        def run(command, out, *flags):
+            argv = [command, *flags, "--epochs", "1", "--k", "5", "--out", str(tmp_path / out)]
+            assert hgib.cli.main(argv) == 0, argv   # the patched main
+
+        data = ["--synth", "default"]
+        run("train", "train", *data)
+        checkpoint = ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
+        run("eval", "eval", *data, *checkpoint)
+        for kind in ("none", "drop", "noise"):
+            run("attack", f"attack-{kind}", *data, "--attack", kind)
+            run("attack", f"attack-{kind}-checkpoint", *data, "--attack", kind, *checkpoint)
+        seeds = ["--seeds", "1", "2"]
+        run("sweep", "labels", *data, "--grid", "labels", "--fractions", "1.0", "0.5", *seeds)
+        run("sweep", "attacks", *data, "--grid", "attacks", *seeds)
+        assert hgib.cli.main(["synth", "--out", str(tmp_path / "csv")]) == 0
+        csv = [str(tmp_path / "csv" / f"modality_{i}.csv") for i in range(3)]
+        run("train", "csv-train", "--features", *csv, "--labels", str(tmp_path / "csv" / "labels.csv"))
+
         assert self.EXEMPT <= names
+        assert self.EXEMPT & set(calls) == set()
         assert names - self.EXEMPT - set(calls) == set()
 
 
@@ -820,6 +891,40 @@ class TestSweep:
             {"setting": "drop", "status": "error", "error": "seed 1: drop refused at seed 1"},
         ]
         assert calls == {"train": list(range(1, train_fails_at + 1)), "drop": [1]}
+
+    def test_change_stops_at_its_first_failed_seed(self, tmp_path, synth_cfg, monkeypatch):
+        # the second change fails at seed 2 and does not train at seed 3;
+        # the first trains at every seed and its row is unaffected
+        trained = []
+        train = hgib.trainer.train
+
+        def failing_train(data, cfg):
+            trained.append((cfg.label_fraction, cfg.seed))
+            if (cfg.label_fraction, cfg.seed) == (0.5, 2):
+                raise hgib.errors.DataError("training refused")
+            return train(data, cfg)
+
+        monkeypatch.setattr(hgib.trainer, "train", failing_train)
+        argv = ["sweep", "--synth", synth_cfg, "--grid", "labels", "--fractions", "1.0", "0.5"]
+        argv += ["--seeds", "1", "2", "3", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert Counter(trained) == Counter([(1.0, 1), (1.0, 2), (1.0, 3), (0.5, 1), (0.5, 2)])
+        good, bad = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert good["status"] == "ok"
+        assert bad == {"setting": 0.5, "status": "error", "error": "seed 2: training refused"}
+
+    @pytest.mark.parametrize("drop_fraction", ["0", "0.001"])
+    def test_drop_of_no_edge_reads_the_clean_p(self, tmp_path, monkeypatch, drop_fraction):
+        # --synth default has 720 hyperedges, so both fractions drop none: the
+        # drop row reads the clean graph's P, which is built once
+        calls = Counter()
+        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
+        argv = ["sweep", "--synth", "default", "--grid", "attacks", "--attacks", "none", "drop"]
+        argv += ["--drop-fraction", drop_fraction, "--seeds", "1", "2", "3", "--epochs", "1"]
+        assert main([*argv, "--k", "5", "--out", str(tmp_path)]) == 0
+        assert calls == {"propagation_tensor": 1}
+        none, drop = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert drop["status"] == "ok" and drop["metrics"] == none["metrics"]
 
     @pytest.mark.parametrize(
         "grid", [["labels", "--fractions", "1.0", "0.5"], ["attacks", "--attacks", "none", "drop"]]
