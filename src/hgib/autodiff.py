@@ -135,18 +135,34 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 # ---------------------------------------------------------------- matmul
 
+def _matmul_vjp(a: Tensor, b: Tensor):
+    # a constant operand gets no gradient product
+    return lambda g: (
+        g @ b.data.T if _needs_grad(a) else None,
+        a.data.T @ g if _needs_grad(b) else None,
+    )
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.data.shape} x {b.data.shape}")
-    # a constant operand gets no gradient product
-    return _make(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (
-            g @ b.data.T if _needs_grad(a) else None,
-            a.data.T @ g if _needs_grad(b) else None,
-        ),
-    )
+    return _make(a.data @ b.data, (a, b), _matmul_vjp(a, b))
+
+
+def relu_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """relu(a @ b) as one tape node: the ReLU is applied in place on the
+    product, so the tape keeps no pre-activation. The VJP masks g by
+    out > 0, then forms `matmul`'s two products from the masked g. A
+    non-finite product is refused before the ReLU could hide a -inf."""
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"relu_matmul: inner dims {a.data.shape} x {b.data.shape}")
+    out = a.data @ b.data
+    if not np.isfinite(out).all():
+        raise NonFiniteError("operation produced non-finite values")
+    # np.maximum(-0.0, 0.0) is +0.0, as np.where(x > 0, x, 0) gives
+    np.maximum(out, 0.0, out=out)
+    vjp = _matmul_vjp(a, b)
+    return _make(out, (a, b), lambda g: vjp(g * (out > 0.0)))
 
 
 def propagate(p: Tensor, x: Tensor) -> Tensor:
@@ -156,14 +172,6 @@ def propagate(p: Tensor, x: Tensor) -> Tensor:
     if p.data.shape[1] != x.data.shape[0]:
         raise ShapeError(f"propagate: inner dims {p.data.shape} x {x.data.shape}")
     return _make((x.data.T @ p.data.T).T, (p, x), lambda g: (None, (g.T @ p.data).T))
-
-
-# ----------------------------------------------------------- elementwise
-
-def relu(t: Tensor) -> Tensor:
-    # np.maximum(-0.0, 0.0) is +0.0, as np.where(x > 0, x, 0) gives
-    out = np.maximum(t.data, 0.0)
-    return _make(out, (t,), lambda g: (g * (out > 0.0),))
 
 
 # ------------------------------------------------------------ reductions

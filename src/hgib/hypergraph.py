@@ -110,7 +110,7 @@ class Hypergraph:
         rows = max(1, _P_CHUNK // n)
         cuts = np.append(np.arange(0, n, rows), n)
         dv = self.vertex_degrees[:, None]
-        sizes = np.unique(self.edge_degrees)
+        sizes = np.flatnonzero(np.bincount(self.edge_degrees))   # distinct, ascending
         P = np.empty((n, n))
         for i, size in enumerate(sizes):
             starts = self.indptr[:-1][self.edge_degrees == size]

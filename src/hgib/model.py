@@ -54,7 +54,9 @@ def hgnnp_layer_forward(
     x: Tensor, g: Hypergraph, theta: Tensor, px: Tensor | None = None
 ) -> Tensor:
     """One spatial convolution: mean vertex->hyperedge, mean hyperedge->vertex,
-    linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta).
+    linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta); the
+    map and the ReLU are one tape op, `relu_matmul`, so the tape keeps no
+    pre-activation.
 
     `px` is P @ x when the caller already holds it: a constant first-layer
     input is propagated once (`trainer.Structure.propagated_features`), not
@@ -69,7 +71,7 @@ def hgnnp_layer_forward(
         px = ad.propagate(g.propagation_tensor, x)
     elif px.shape != x.shape:
         raise ShapeError(f"propagated input {px.shape} != feature shape {x.shape}")
-    return ad.relu(ad.matmul(px, theta))
+    return ad.relu_matmul(px, theta)
 
 
 def forward(

@@ -193,26 +193,46 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# member-list entries formatted into text at a time by `save_record`
+_RECORD_CHUNK = 4096
+
+
+def _json_ints(a: np.ndarray) -> str:
+    """The entries of a JSON array of the integer array `a`, comma-separated
+    as compact `json.dumps` writes them, formatted a chunk at a time so that
+    no Python int is held for every entry."""
+    return ",".join(
+        ",".join(map(str, a[i:i + _RECORD_CHUNK].tolist()))
+        for i in range(0, a.size, _RECORD_CHUNK)
+    )
+
+
 def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
     """Write, beside the checkpoint file of a training on `structure` under
     `cfg`, its run record: the config, the class names, the input width,
     the fingerprint of the normalized input, the hypergraph's member lists
     and the sha256 of the checkpoint's bytes. It is compact,
-    timestamp-free JSON, written atomically."""
+    timestamp-free JSON, written atomically. The member lists are formatted
+    by `_json_ints`; the bytes are those of `json.dumps` on the record with
+    the lists as Python lists."""
     g = structure.graph
-    record = {
-        "config": cfg.to_dict(),
-        "class_names": structure.dataset.class_names,
-        "in_dim": structure.features.shape[1],
-        "fingerprint": _fingerprint(structure.dataset, structure.features.data),
-        "graph": {
-            "num_vertices": g.num_vertices,
-            "indptr": g.indptr.tolist(),
-            "indices": g.indices.tolist(),
+    head = json.dumps(
+        {
+            "config": cfg.to_dict(),
+            "class_names": structure.dataset.class_names,
+            "in_dim": structure.features.shape[1],
+            "fingerprint": _fingerprint(structure.dataset, structure.features.data),
         },
-        "checkpoint_sha256": _sha256(checkpoint),
-    }
-    write_text_atomic(_record_path(checkpoint), json.dumps(record, separators=(",", ":")))
+        separators=(",", ":"),
+    )
+    text = "".join([
+        head[:-1],
+        ',"graph":{"num_vertices":%d' % g.num_vertices,
+        ',"indptr":[', _json_ints(g.indptr),
+        '],"indices":[', _json_ints(g.indices),
+        ']},"checkpoint_sha256":%s}' % json.dumps(_sha256(checkpoint)),
+    ])
+    write_text_atomic(_record_path(checkpoint), text)
 
 
 def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:

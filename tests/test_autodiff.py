@@ -60,10 +60,11 @@ class TestPropagate:
     def test_gradients_match_finite_differences(self, seed):
         p, x_data = self.operands(seed)
         x = Tensor(x_data, requires_grad=True)
+        w = Tensor.constant(np.random.default_rng(seed + 10).normal(size=(3, 3)))
         labels = np.array([0, 2, 1, 1, 0, 2, 1])
 
         def build():
-            h = ad.propagate(p, ad.relu(x))
+            h = ad.propagate(p, ad.relu_matmul(x, w))
             return ad.weighted_sum(
                 [kl_sigmoid_half(h), ce_focal_loss(h, labels, [True] * 6 + [False], 1.0, 2.0, 0.5)],
                 [1.0, 0.5],
@@ -106,30 +107,92 @@ class TestConstant:
 
 
 class TestElementwise:
+    """The ReLU of `relu_matmul`, read through an identity right operand
+    where the product is its left operand itself."""
+
     def test_relu_signs(self):
-        np.testing.assert_array_equal(ad.relu(Tensor([[-1, 2]])).data, [[0, 2]])
+        out = ad.relu_matmul(Tensor([[-1, 2]]), Tensor(np.eye(2)))
+        np.testing.assert_array_equal(out.data, [[0, 2]])
 
     def test_relu_idempotent(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
-        once = ad.relu(x).data
-        np.testing.assert_array_equal(ad.relu(ad.relu(x)).data, once)
+        eye = Tensor(np.eye(4))
+        once = ad.relu_matmul(x, eye).data
+        np.testing.assert_array_equal(ad.relu_matmul(ad.relu_matmul(x, eye), eye).data, once)
 
     def test_relu_bit_equal_to_where(self):
+        # against plain numpy, bit for bit: the output is np.where on the
+        # product, and both VJP products are formed from g masked by
+        # product > 0, with zeros and -0.0 in the operands and in g
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(40, 16))
-        x[::3] = 0.0
-        x[1::3, ::2] = -0.0
-        g = rng.normal(size=x.shape)
+        a = rng.normal(size=(40, 16))
+        a[::3] = 0.0
+        a[1::3, ::2] = -0.0
+        b = rng.normal(size=(16, 12))
+        b[:, ::4] = 0.0
+        b[:, 1::4] = -0.0
+        g = rng.normal(size=(40, 12))
         g[::5] = -0.0
-        out = ad.relu(Tensor(x, requires_grad=True))
-        np.testing.assert_array_equal(bits(out.data), bits(np.where(x > 0, x, 0)))
-        (grad,) = out._vjp(g)
-        np.testing.assert_array_equal(bits(grad), bits(g * (x > 0)))
+        out = ad.relu_matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        product = a @ b
+        np.testing.assert_array_equal(bits(out.data), bits(np.where(product > 0, product, 0)))
+        grad_a, grad_b = out._vjp(g)
+        masked = g * (product > 0)
+        np.testing.assert_array_equal(bits(grad_a), bits(masked @ b.T))
+        np.testing.assert_array_equal(bits(grad_b), bits(a.T @ masked))
+        eye = ad.relu_matmul(Tensor(a), Tensor(np.eye(16)))
+        np.testing.assert_array_equal(bits(eye.data), bits(np.where(a > 0, a, 0)))
 
     def test_nonfinite_output_rejected(self):
         big = Tensor([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             ad.matmul(big, big)
+
+
+class TestReluMatmul:
+    def test_constant_operand_gets_no_gradient_product(self):
+        const = Tensor([[1.0, -2.0], [3.0, 4.0]])
+        param = Tensor([[0.5], [-1.0]], requires_grad=True)
+        g = np.ones((2, 1))
+        out = ad.relu_matmul(const, param)
+        grad_const, grad_param = out._vjp(g)
+        assert grad_const is None
+        np.testing.assert_array_equal(grad_param, const.data.T @ (g * (out.data > 0)))
+        grad_param, grad_const = ad.relu_matmul(
+            Tensor([[1.0, 2.0]], requires_grad=True), const
+        )._vjp(np.ones((1, 2)))
+        assert grad_const is None and grad_param.shape == (1, 2)
+        assert ad.relu_matmul(const, const)._vjp is None   # nothing to differentiate
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("constant_left", [False, True])
+    def test_gradients_match_finite_differences(self, seed, constant_left):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(6, 4)), requires_grad=not constant_left)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        labels = np.array([0, 2, 1, 1, 0, 2])
+        params = [b] if constant_left else [a, b]
+
+        def build():
+            h = ad.relu_matmul(a, b)
+            return ad.weighted_sum(
+                [kl_sigmoid_half(h), ce_focal_loss(h, labels, [True] * 5 + [False], 1.0, 2.0, 0.5)],
+                [1.0, 0.5],
+            )
+
+        build().backward()
+        assert a.grad is None or a.grad.any()
+        numeric = finite_difference_grads(lambda: build().data[0, 0], params)
+        assert_close_gradients([p.grad for p in params], numeric)
+
+    def test_negative_infinite_product_rejected(self):
+        # the ReLU would turn -inf into 0; the product is checked first
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            ad.relu_matmul(Tensor([[-1e308, -1e308]]), Tensor([[1e308], [1e308]]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.relu_matmul(Tensor([[1, 2]]), Tensor([[1, 2]]))
 
 
 class TestReductions:
@@ -177,7 +240,7 @@ class TestBackward:
             return t.grad
 
         f = lambda t: ad.tsum(ad.matmul(t, t))
-        g = lambda t: ad.weighted_sum([ad.tsum(ad.relu(t))], [1.0 / 9.0])
+        g = lambda t: ad.weighted_sum([ad.tsum(ad.relu_matmul(t, t))], [1.0 / 9.0])
         combined = grads_of(lambda t: ad.weighted_sum([f(t), g(t)], [1.0, 1.0]))
         np.testing.assert_allclose(
             combined, grads_of(f) + grads_of(g), atol=1e-10
@@ -199,7 +262,7 @@ class TestBackward:
         def run():
             a = Tensor(a_data.copy(), requires_grad=True)
             b = Tensor(b_data.copy(), requires_grad=True)
-            loss = kl_sigmoid_half(ad.matmul(ad.relu(a), b))
+            loss = kl_sigmoid_half(ad.relu_matmul(a, b))
             loss.backward()
             return a.grad.copy(), b.grad.copy()
 
@@ -212,7 +275,8 @@ class TestBackward:
         [
             lambda x, y: ad.matmul(x, y),
             lambda x, y: ad.matmul(x, x),
-            lambda x, y: ad.relu(x),
+            lambda x, y: ad.relu_matmul(x, y),
+            lambda x, y: ad.relu_matmul(x, x),
             lambda x, y: ad.tsum(x),
             lambda x, y: ad.weighted_sum([ad.tsum(x), ad.tsum(y), ad.tsum(x)], [1.0, 1.0, 1.0]),
             lambda x, y: ce_focal_loss(x, np.array([0, 2, 1]), [True, False, True], 1.0, 2.0, 0.5),
@@ -243,7 +307,7 @@ class TestBackward:
         labels = np.array([0, 4, 2, 1])
 
         def build():
-            h = ad.matmul(ad.relu(a), b)
+            h = ad.relu_matmul(a, b)
             square = ad.matmul(h, c)
             return ad.weighted_sum(
                 [

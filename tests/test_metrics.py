@@ -101,8 +101,12 @@ class TestEvaluate:
     def test_absent_class_rejected(self):
         labels = np.array([0, 0, 1, 1])
         probs = np.full((4, 3), 1 / 3)
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="absent from the evaluation mask"):
             evaluate(probs, labels, np.ones(4, dtype=bool))
+        # present in the labels, but masked out
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(MetricError, match="absent from the evaluation mask"):
+            evaluate(np.full((6, 3), 1 / 3), labels, labels != 2)
 
     def test_zero_denominator_excluded_with_warning(self):
         labels = np.array([0, 1, 2])

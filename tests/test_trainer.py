@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from hgib import (
 )
 from hgib.autodiff import propagate
 from hgib.errors import DataError
+from hgib.hypergraph import Hypergraph
+from hgib.perturb import drop_hyperedges
 from hgib.trainer import aggregate_metrics, build, evaluate_state, prepare
 
 
@@ -230,9 +234,11 @@ class TestPrepared:
             assert scored(shared) == scored(fresh)
 
     def test_epoch_tape_size(self, small_dataset):
-        # one epoch's loss at the default model and objective: 7 nodes of
-        # forward, 1 CE+focal, CE and KL per layer, 2 weighted sums (79 when
-        # each loss term was a chain of elementwise ops)
+        # one epoch's loss at the default model and objective: 5 nodes of
+        # forward (a relu_matmul and a projector matmul per layer, and the
+        # second layer's propagate), 1 CE+focal, CE and KL per layer, 2
+        # weighted sums (79 when each loss term was a chain of elementwise
+        # ops)
         from hgib import autodiff as ad
         from hgib import losses, model
 
@@ -249,24 +255,101 @@ class TestPrepared:
             logits, per_layer, s.dataset.labels, prepared.labeled_mask, cfg.loss
         )
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
-        assert len(ops) <= 20
+        assert len(ops) == 12
 
     def test_epoch_multiplies_by_p_only_through_propagate(self, small_dataset, monkeypatch):
         # every n x n product is the wide `propagate`: a P operand reaching
-        # `matmul` would put an epoch back on the slow tall-narrow GEMM
+        # `matmul` or `relu_matmul` would put an epoch back on the slow
+        # tall-narrow GEMM
         from hgib import autodiff as ad
 
         shapes = []
-        matmul = ad.matmul
 
-        def recording(a, b):
-            shapes.append((a.shape, b.shape))
-            return matmul(a, b)
+        def recording(op):
+            def record(a, b):
+                shapes.append((op.__name__, a.shape, b.shape))
+                return op(a, b)
 
-        monkeypatch.setattr(ad, "matmul", recording)
+            return record
+
+        for name in ("matmul", "relu_matmul"):
+            monkeypatch.setattr(ad, name, recording(getattr(ad, name)))
         train(small_dataset, TrainConfig(k_neighbors=5, epochs=1))
         n = small_dataset.n
-        assert shapes and all((n, n) not in pair for pair in shapes)
+        assert {name for name, *_ in shapes} == {"matmul", "relu_matmul"}
+        assert all((n, n) not in pair for _, *pair in shapes)
+
+
+class TestSaveRecord:
+    @staticmethod
+    def list_form(structure, cfg, checkpoint):
+        """The record as `json.dumps` writes it with the member lists held
+        as Python lists."""
+        g = structure.graph
+        record = {
+            "config": cfg.to_dict(),
+            "class_names": structure.dataset.class_names,
+            "in_dim": structure.features.shape[1],
+            "fingerprint": hgib.trainer._fingerprint(structure.dataset, structure.features.data),
+            "graph": {
+                "num_vertices": g.num_vertices,
+                "indptr": g.indptr.tolist(),
+                "indices": g.indices.tolist(),
+            },
+            "checkpoint_sha256": hgib.trainer._sha256(checkpoint),
+        }
+        return json.dumps(record, separators=(",", ":")).encode()
+
+    @staticmethod
+    def graphs(structure):
+        """The kNN graph, a graph with 30 % of its edges dropped, and a
+        ragged graph of edges of 1 to 9 members."""
+        g = structure.graph
+        n = g.num_vertices
+        edges = [np.arange(n)[:1 + i % 9] + i % (n - 9) for i in range(3 * n)]
+        edges.append(np.arange(n))
+        ragged = Hypergraph.from_members(
+            n, np.cumsum([0] + [e.size for e in edges]), np.concatenate(edges)
+        )
+        return {
+            "knn": g,
+            "dropped": drop_hyperedges(g, 0.3, seed=2),
+            "ragged": ragged,
+        }
+
+    @pytest.mark.parametrize("graph", ["knn", "dropped", "ragged"])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_bytes_equal_the_list_form(self, small_dataset, tmp_path, monkeypatch, graph, chunk):
+        # chunk 7 splits the lists off any edge boundary; 4096 is the default
+        monkeypatch.setattr(hgib.trainer, "_RECORD_CHUNK", chunk)
+        cfg = tiny_cfg(label_fraction=0.5)
+        structure = build(small_dataset, 5)
+        structure = replace(structure, graph=self.graphs(structure)[graph])
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("[]")
+        hgib.trainer.save_record(structure, cfg, checkpoint)
+        written = (tmp_path / "checkpoint.meta.json").read_bytes()
+        assert written == self.list_form(structure, cfg, checkpoint)
+        assert hgib.trainer.load_structure(checkpoint, small_dataset, cfg).graph.indices.tolist() == (
+            structure.graph.indices.tolist()
+        )
+
+    def test_peak_memory_is_a_small_multiple_of_the_record(self, tmp_path):
+        # at n = 1500, k = 20 the member lists hold 63 000 entries; dumping
+        # them as Python lists, one int object each, peaked at about 20
+        # times the record's 0.27 MiB
+        structure = build(generate_synthetic(SynthConfig(n=1500, dims=(8, 8), seed=3)), 20)
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("[]")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hgib.trainer.save_record(structure, tiny_cfg(k_neighbors=20), checkpoint)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "checkpoint.meta.json").stat().st_size
+        assert peak < 4 * size, (peak / 2**20, size / 2**20)
 
 
 class TestEvaluateState:
