@@ -187,7 +187,7 @@ def _trained(structure: trainer.Structure, cfg: TrainConfig) -> tuple:
     which holds the structure and so its P, is not kept."""
     record = trainer.train(structure, cfg)
     p = record.prepared
-    return (p.train_mask, p.labeled_mask, p.test_mask), record.model_state
+    return (p.labeled_mask, p.test_mask), record.model_state
 
 
 def _released(structure: trainer.Structure) -> trainer.Structure:
@@ -217,9 +217,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     attack = _attack_config(args, "none", args.seeds[0])
     dataset = _load_dataset(args)
     plan = _plan(args)
-    # one structure for every seed and row: it depends on neither, and a
-    # failed build fails every change at the first seed
-    structure = _attempt(args.seeds[0], lambda: trainer.build(dataset, cfg.k_neighbors))
+    # one structure for every seed and row: it depends on neither. It is
+    # prepared at the first seed, so a split that fails there fails every
+    # change before the build, as a failed build does; at label fraction
+    # 1.0 the split checks only the train fraction, which no row changes
+    first = replace(cfg, seed=args.seeds[0], label_fraction=1.0)
+    structure = _attempt(args.seeds[0], lambda: trainer.prepare(dataset, first).structure)
     built = not isinstance(structure, str)
     # each distinct change trains its seeds in order, to its first failure,
     # while the clean P exists; a run is (masks, state) or its row message

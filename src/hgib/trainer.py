@@ -5,6 +5,7 @@ multi-seed aggregation."""
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import time
@@ -81,7 +82,6 @@ class Prepared:
     the run share it."""
 
     structure: Structure
-    train_mask: np.ndarray
     labeled_mask: np.ndarray
     test_mask: np.ndarray
 
@@ -135,6 +135,8 @@ def split_and_mask(
     ]
     if any(idx.size == 0 for idx in by_class_train):
         raise DataError("a class is absent from the training split")
+    if any(not test_mask[idx].any() for idx in by_class):
+        raise DataError("a class is absent from the test split")
     n_labeled = int(round(label_fraction * n_train))
     if n_labeled == 0:
         raise DataError(
@@ -161,7 +163,7 @@ def prepare(data: Dataset | Structure, cfg: TrainConfig) -> Prepared:
     if isinstance(data, Structure) and data.k != cfg.k_neighbors:
         raise ValueError(f"structure built at k={data.k}, config has k={cfg.k_neighbors}")
     dataset = data.dataset if isinstance(data, Structure) else data
-    masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
+    _, *masks = split_and_mask(dataset, cfg.train_fraction, cfg.label_fraction, cfg.seed)
     structure = data if isinstance(data, Structure) else build(data, cfg.k_neighbors)
     return Prepared(structure, *masks)
 
@@ -174,12 +176,13 @@ _COMPARED = ("k_neighbors", "seed", "train_fraction")
 def _fingerprint(dataset: Dataset, fused: np.ndarray) -> str:
     """sha256 of a normalized dataset and its fused features: the vertex
     count and modality widths, the features (`<f8`, C order), the labels
-    (`<i8`) and the class names. The widths are hashed, so the same columns
-    split into other modalities, which give another graph, differ too."""
+    (`<i8`) and the class names, each array hashed through its buffer, not
+    copied. The widths are hashed, so the same columns split into other
+    modalities, which give another graph, differ too."""
     widths = [X.shape[1] for X in dataset.modalities]
-    h = hashlib.sha256(np.array([dataset.n, len(widths), *widths], dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(fused, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
+    h = hashlib.sha256(np.array([dataset.n, len(widths), *widths], dtype="<i8"))
+    h.update(np.ascontiguousarray(fused, dtype="<f8"))
+    h.update(np.ascontiguousarray(dataset.labels, dtype="<i8"))
     h.update(json.dumps(dataset.class_names).encode())
     return h.hexdigest()
 
@@ -193,46 +196,33 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# member-list entries formatted into text at a time by `save_record`
-_RECORD_CHUNK = 4096
-
-
-def _json_ints(a: np.ndarray) -> str:
-    """The entries of a JSON array of the integer array `a`, comma-separated
-    as compact `json.dumps` writes them, formatted a chunk at a time so that
-    no Python int is held for every entry."""
-    return ",".join(
-        ",".join(map(str, a[i:i + _RECORD_CHUNK].tolist()))
-        for i in range(0, a.size, _RECORD_CHUNK)
-    )
+# the hypergraph's member lists, which a run record holds as the base64
+# text of their `<i4` bytes
+_MEMBERS = ("indptr", "indices")
 
 
 def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
     """Write, beside the checkpoint file of a training on `structure` under
     `cfg`, its run record: the config, the class names, the input width,
     the fingerprint of the normalized input, the hypergraph's member lists
-    and the sha256 of the checkpoint's bytes. It is compact,
-    timestamp-free JSON, written atomically. The member lists are formatted
-    by `_json_ints`; the bytes are those of `json.dumps` on the record with
-    the lists as Python lists."""
+    (`_MEMBERS`) and the sha256 of the checkpoint's bytes. It is compact,
+    timestamp-free JSON, written atomically. A graph of 2**31 or more
+    memberships, which int32 cannot index, is a DataError."""
     g = structure.graph
-    head = json.dumps(
-        {
-            "config": cfg.to_dict(),
-            "class_names": structure.dataset.class_names,
-            "in_dim": structure.features.shape[1],
-            "fingerprint": _fingerprint(structure.dataset, structure.features.data),
+    if g.indices.size >= 2**31:
+        raise DataError(f"the graph's {g.indices.size} memberships do not fit a run record's int32")
+    record = {
+        "config": cfg.to_dict(),
+        "class_names": structure.dataset.class_names,
+        "in_dim": structure.features.shape[1],
+        "fingerprint": _fingerprint(structure.dataset, structure.features.data),
+        "graph": {
+            "num_vertices": g.num_vertices,
+            **{m: base64.b64encode(getattr(g, m).astype("<i4")).decode() for m in _MEMBERS},
         },
-        separators=(",", ":"),
-    )
-    text = "".join([
-        head[:-1],
-        ',"graph":{"num_vertices":%d' % g.num_vertices,
-        ',"indptr":[', _json_ints(g.indptr),
-        '],"indices":[', _json_ints(g.indices),
-        ']},"checkpoint_sha256":%s}' % json.dumps(_sha256(checkpoint)),
-    ])
-    write_text_atomic(_record_path(checkpoint), text)
+        "checkpoint_sha256": _sha256(checkpoint),
+    }
+    write_text_atomic(_record_path(checkpoint), json.dumps(record, separators=(",", ":")))
 
 
 def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
@@ -257,7 +247,10 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
         checkpoint_sha256 = record["checkpoint_sha256"]
         run_cfg, stored, graph = record["config"], record["fingerprint"], record["graph"]
         ran = {name: run_cfg[name] for name in _COMPARED}
-        members = graph["num_vertices"], np.array(graph["indptr"]), np.array(graph["indices"])
+        # text that is not base64, or not whole int32s, is a ValueError; a non-string a TypeError
+        members = graph["num_vertices"], *(
+            np.frombuffer(base64.b64decode(graph[m], validate=True), "<i4") for m in _MEMBERS
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed run record {path}: {exc!r}") from exc
     if checkpoint_sha256 != _sha256(checkpoint):

@@ -1,3 +1,4 @@
+import base64
 import errno
 import importlib
 import inspect
@@ -23,6 +24,7 @@ import hgib.data
 import hgib.errors
 import hgib.losses
 import hgib.metrics
+import hgib.model
 import hgib.perturb
 import hgib.trainer
 from hgib import (
@@ -76,6 +78,16 @@ def count_builds(monkeypatch, calls, owner, name):
     prop = cached_property(counted(calls, name, getattr(owner, name).func))
     prop.__set_name__(owner, name)
     monkeypatch.setattr(owner, name, prop)
+
+
+def count_knn_and_epochs(monkeypatch):
+    """Counts of kNN builds and of forward passes, one per epoch trained."""
+    calls = {"knn": 0, "forward": 0}
+    monkeypatch.setattr(
+        hgib.data, "build_knn_hyperedges", counted(calls, "knn", hgib.data.build_knn_hyperedges)
+    )
+    monkeypatch.setattr(hgib.model, "forward", counted(calls, "forward", hgib.model.forward))
+    return calls
 
 
 def synth_csv_args(tmp_path, synth_cfg):
@@ -155,6 +167,14 @@ class TestTrain:
         jsonschema.validate(record, load_schema("checkpoint.meta.schema.json"))
         assert record["config"] == run_doc["config"]
         assert record["in_dim"] == checkpoint[0]["rows"]
+
+    def test_class_absent_from_test_split_exit_2_before_the_build(self, tmp_path, monkeypatch, capsys):
+        calls = count_knn_and_epochs(monkeypatch)
+        argv = ["train", "--synth", "default", "--train-fraction", "1.0", "--epochs", "2", "--k", "5"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: a class is absent from the test split\n"
+        assert calls == {"knn": 0, "forward": 0}
+        assert not (tmp_path / "run.json").exists()
 
     def test_missing_label_file_exit_2(self, tmp_path, capsys):
         code = main(
@@ -974,6 +994,21 @@ class TestSweep:
     @pytest.mark.parametrize(
         "grid", [["labels", "--fractions", "1.0", "0.5"], ["attacks", "--attacks", "none", "drop"]]
     )
+    def test_class_absent_from_test_split_fails_every_row_before_the_build(
+        self, tmp_path, monkeypatch, grid
+    ):
+        calls = count_knn_and_epochs(monkeypatch)
+        argv = ["sweep", "--synth", "default", "--grid", *grid, "--train-fraction", "1.0"]
+        argv += ["--seeds", "1", "2", "--epochs", "2", "--k", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == {"knn": 0, "forward": 0}
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert [row["status"] for row in rows] == ["error", "error"]
+        assert {row["error"] for row in rows} == {"seed 1: a class is absent from the test split"}
+
+    @pytest.mark.parametrize(
+        "grid", [["labels", "--fractions", "1.0", "0.5"], ["attacks", "--attacks", "none", "drop"]]
+    )
     def test_failed_build_is_attempted_once(self, tmp_path, synth_cfg, monkeypatch, grid):
         calls = {"build": 0, "train": 0}
         monkeypatch.setattr(hgib.trainer, "build", counted(calls, "build", hgib.trainer.build))
@@ -1111,6 +1146,12 @@ class TestAttackSettingsCheckedFirst:
         assert not (tmp_path / "attack" / "metrics.json").exists()
 
 
+def _members(record, name):
+    """A run record's member list, decoded from its base64 `<i4` bytes."""
+    return np.frombuffer(base64.b64decode(record["graph"][name], validate=True), "<i4")
+
+
+
 class TestCheckpointKnowsItsRun:
     """`train` writes a run record beside its checkpoint. `eval` and
     `attack --checkpoint` take the graph from it, so they build no kNN
@@ -1145,11 +1186,11 @@ class TestCheckpointKnowsItsRun:
             dataset = hgib.data.load_csv(data[1:-2], data[-1])
         out = tmp_path / "run"
         assert main(["train", *data, "--epochs", "1", "--k", "5", "--out", str(out)]) == 0
-        graph = json.loads((out / "checkpoint.meta.json").read_text())["graph"]
+        record = json.loads((out / "checkpoint.meta.json").read_text())
         _, fresh = hgib.data.fuse_and_build(hgib.data.normalize(dataset), 5)
-        assert graph["num_vertices"] == fresh.num_vertices
-        assert np.array_equal(graph["indptr"], fresh.indptr)
-        assert np.array_equal(graph["indices"], fresh.indices)
+        assert record["graph"]["num_vertices"] == fresh.num_vertices
+        assert np.array_equal(_members(record, "indptr"), fresh.indptr)
+        assert np.array_equal(_members(record, "indices"), fresh.indices)
 
     def test_record_is_reproducible(self, tmp_path, csv_run):
         run, data = csv_run
@@ -1257,8 +1298,21 @@ class TestCheckpointKnowsItsRun:
             lambda r: r["config"].pop("seed"),
             lambda r: r["graph"].update(indices=[0.5] * len(r["graph"]["indices"])),
             lambda r: r["graph"].update(num_vertices=r["graph"]["num_vertices"] + 1),
+            # the member lists as JSON ints, as records were written before base64
+            lambda r: r["graph"].update(
+                {name: _members(r, name).tolist() for name in ("indptr", "indices")}
+            ),
+            lambda r: r["graph"].update(indices="not base64!"),
+            lambda r: r["graph"].update(indices=base64.b64encode(b"\0" * 6).decode()),
+            # the last edge's largest member becomes n
+            lambda r: r["graph"].update(indices=base64.b64encode(
+                np.append(_members(r, "indices")[:-1], r["graph"]["num_vertices"]).astype("<i4")
+            ).decode()),
         ],
-        ids=["no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count"],
+        ids=[
+            "no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count",
+            "int-lists", "not-base64", "not-int32-bytes", "member-index-n",
+        ],
     )
     def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, edit):
         run, data = csv_run

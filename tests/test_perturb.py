@@ -158,7 +158,7 @@ class TestAttackEvaluate:
         p = rec.prepared
         s = p.structure
         assert "propagated_features" in vars(s)
-        masks = (p.train_mask, p.labeled_mask, p.test_mask)
+        masks = (p.labeled_mask, p.test_mask)
         noise = AttackConfig(kind="noise", rho=0.5, seed=2)
         noisy = inject_feature_noise(s.features.data, noise.rho, noise.seed)
         fresh = Prepared(Structure(s.dataset, s.k, Tensor(noisy), s.graph), *masks)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hgib import (
     train,
 )
 from hgib.autodiff import propagate
+from hgib.data import normalize
 from hgib.errors import DataError
 from hgib.hypergraph import Hypergraph
 from hgib.perturb import drop_hyperedges
@@ -75,6 +78,14 @@ class TestSplitAndMask:
         # round(0.05 * 8) = 0 labeled vertices
         with pytest.raises(DataError, match="label fraction 0.05 of 8 training vertices"):
             split_and_mask(ds, 0.8, 0.05, seed=1)
+
+    def test_class_absent_from_test_split_rejected(self):
+        ds = self._dataset(n=10)
+        with pytest.raises(DataError, match="a class is absent from the test split"):
+            split_and_mask(ds, 1.0, 1.0, seed=1)
+        # 9 of 10 vertices train: one class keeps its 5 in the training split
+        with pytest.raises(DataError, match="a class is absent from the test split"):
+            split_and_mask(ds, 0.9, 1.0, seed=1)
 
     def test_stratified(self):
         ds = self._dataset(n=30, classes=3)
@@ -215,7 +226,8 @@ class TestPrepared:
         cfg = tiny_cfg(seed=3, label_fraction=0.5)
         built = prepare(build(small_dataset, 5), cfg)
         fresh = prepare(small_dataset, cfg)
-        for mask in ("train_mask", "labeled_mask", "test_mask"):
+        # the test mask is the training split's complement
+        for mask in ("labeled_mask", "test_mask"):
             np.testing.assert_array_equal(getattr(fresh, mask), getattr(built, mask))
 
         def no_build(*args):
@@ -282,25 +294,6 @@ class TestPrepared:
 
 class TestSaveRecord:
     @staticmethod
-    def list_form(structure, cfg, checkpoint):
-        """The record as `json.dumps` writes it with the member lists held
-        as Python lists."""
-        g = structure.graph
-        record = {
-            "config": cfg.to_dict(),
-            "class_names": structure.dataset.class_names,
-            "in_dim": structure.features.shape[1],
-            "fingerprint": hgib.trainer._fingerprint(structure.dataset, structure.features.data),
-            "graph": {
-                "num_vertices": g.num_vertices,
-                "indptr": g.indptr.tolist(),
-                "indices": g.indices.tolist(),
-            },
-            "checkpoint_sha256": hgib.trainer._sha256(checkpoint),
-        }
-        return json.dumps(record, separators=(",", ":")).encode()
-
-    @staticmethod
     def graphs(structure):
         """The kNN graph, a graph with 30 % of its edges dropped, and a
         ragged graph of edges of 1 to 9 members."""
@@ -317,27 +310,41 @@ class TestSaveRecord:
             "ragged": ragged,
         }
 
-    @pytest.mark.parametrize("graph", ["knn", "dropped", "ragged"])
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    def test_bytes_equal_the_list_form(self, small_dataset, tmp_path, monkeypatch, graph, chunk):
-        # chunk 7 splits the lists off any edge boundary; 4096 is the default
-        monkeypatch.setattr(hgib.trainer, "_RECORD_CHUNK", chunk)
-        cfg = tiny_cfg(label_fraction=0.5)
-        structure = build(small_dataset, 5)
-        structure = replace(structure, graph=self.graphs(structure)[graph])
+    @staticmethod
+    def saved(structure, cfg, tmp_path):
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text("[]")
         hgib.trainer.save_record(structure, cfg, checkpoint)
-        written = (tmp_path / "checkpoint.meta.json").read_bytes()
-        assert written == self.list_form(structure, cfg, checkpoint)
-        assert hgib.trainer.load_structure(checkpoint, small_dataset, cfg).graph.indices.tolist() == (
-            structure.graph.indices.tolist()
+        return checkpoint
+
+    @pytest.mark.parametrize("graph", ["knn", "dropped", "ragged"])
+    def test_round_trip(self, small_dataset, tmp_path, graph):
+        cfg = tiny_cfg(label_fraction=0.5)
+        structure = build(small_dataset, 5)
+        structure = replace(structure, graph=self.graphs(structure)[graph])
+        checkpoint = self.saved(structure, cfg, tmp_path)
+        loaded = hgib.trainer.load_structure(checkpoint, small_dataset, cfg).graph
+        assert loaded.num_vertices == structure.graph.num_vertices
+        np.testing.assert_array_equal(loaded.indptr, structure.graph.indptr)
+        np.testing.assert_array_equal(loaded.indices, structure.graph.indices)
+
+    def test_memberships_past_int32_refused(self, small_dataset, tmp_path):
+        # one edge of 2**31 members, a broadcast view that allocates none of
+        # them: int32 would wrap its indptr
+        structure = build(small_dataset, 5)
+        huge = SimpleNamespace(
+            num_vertices=structure.graph.num_vertices,
+            indptr=np.array([0, 2**31]),
+            indices=np.broadcast_to(np.intp(0), (2**31,)),
         )
+        with pytest.raises(DataError, match="2147483648 memberships do not fit"):
+            self.saved(replace(structure, graph=huge), tiny_cfg(), tmp_path)
+        assert not (tmp_path / "checkpoint.meta.json").exists()
 
     def test_peak_memory_is_a_small_multiple_of_the_record(self, tmp_path):
         # at n = 1500, k = 20 the member lists hold 63 000 entries; dumping
         # them as Python lists, one int object each, peaked at about 20
-        # times the record's 0.27 MiB
+        # times the record's size
         structure = build(generate_synthetic(SynthConfig(n=1500, dims=(8, 8), seed=3)), 20)
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text("[]")
@@ -350,6 +357,47 @@ class TestSaveRecord:
             tracemalloc.stop()
         size = (tmp_path / "checkpoint.meta.json").stat().st_size
         assert peak < 4 * size, (peak / 2**20, size / 2**20)
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_members(self, tmp_path):
+        # at n = 1500, k = 20 the graph holds 63 000 memberships, 0.5 MiB of
+        # member lists as intp; parsing them as JSON ints, one Python int
+        # each, peaked at about 9 times that, and decoding base64 at about 5
+        dataset = generate_synthetic(SynthConfig(n=1500, dims=(8, 8), seed=3))
+        cfg = tiny_cfg(k_neighbors=20)
+        structure = build(dataset, 20)
+        checkpoint = self.saved(structure, cfg, tmp_path)
+        members = structure.graph.indptr.nbytes + structure.graph.indices.nbytes
+        del structure
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = hgib.trainer.load_structure(checkpoint, dataset, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded.graph.indices.size == 63_000
+        assert peak < 6 * members, (peak / 2**20, members / 2**20)
+
+
+class TestFingerprint:
+    def test_hashes_contiguous_arrays_without_a_copy(self):
+        dataset = normalize(generate_synthetic(SynthConfig(n=2000, dims=(32, 32), seed=4)))
+        fused = np.hstack(dataset.modalities)
+        assert fused.nbytes == 2000 * 64 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            digest = hgib.trainer._fingerprint(dataset, fused)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < fused.nbytes / 20, peak / 2**20
+        # the digest is that of the arrays' bytes
+        widths = np.array([2000, 2, 32, 32], dtype="<i8").tobytes()
+        h = hashlib.sha256(widths + fused.astype("<f8").tobytes())
+        h.update(dataset.labels.astype("<i8").tobytes())
+        h.update(json.dumps(dataset.class_names).encode())
+        assert digest == h.hexdigest()
 
 
 class TestEvaluateState:
