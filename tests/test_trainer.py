@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+import struct
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -294,6 +296,32 @@ class TestPrepared:
 
 class TestSaveRecord:
     @staticmethod
+    def list_form(structure, cfg, checkpoint, chunk):
+        """The record as `json.dumps` writes it, its member lists packed as
+        little-endian int32 from their Python lists, `chunk` entries at a
+        time, and base64-encoded whole."""
+        g = structure.graph
+
+        def packed(values):
+            pieces = (values[i:i + chunk] for i in range(0, len(values), chunk))
+            data = b"".join(struct.pack(f"<{len(p)}i", *p) for p in pieces)
+            return base64.b64encode(data).decode()
+
+        record = {
+            "config": cfg.to_dict(),
+            "class_names": structure.dataset.class_names,
+            "in_dim": structure.features.shape[1],
+            "fingerprint": hgib.trainer._fingerprint(structure.dataset, structure.features.data),
+            "graph": {
+                "num_vertices": g.num_vertices,
+                "indptr": packed(g.indptr.tolist()),
+                "indices": packed(g.indices.tolist()),
+            },
+            "checkpoint_sha256": hgib.trainer._sha256(checkpoint),
+        }
+        return json.dumps(record, separators=(",", ":")).encode()
+
+    @staticmethod
     def graphs(structure):
         """The kNN graph, a graph with 30 % of its edges dropped, and a
         ragged graph of edges of 1 to 9 members."""
@@ -316,6 +344,20 @@ class TestSaveRecord:
         checkpoint.write_text("[]")
         hgib.trainer.save_record(structure, cfg, checkpoint)
         return checkpoint
+
+    @pytest.mark.parametrize("graph", ["knn", "dropped", "ragged"])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_bytes_equal_the_list_form(self, small_dataset, tmp_path, graph, chunk):
+        # chunk 7 packs the reference off any edge boundary; 4096 outruns the lists
+        cfg = tiny_cfg(label_fraction=0.5)
+        structure = build(small_dataset, 5)
+        structure = replace(structure, graph=self.graphs(structure)[graph])
+        checkpoint = self.saved(structure, cfg, tmp_path)
+        written = (tmp_path / "checkpoint.meta.json").read_bytes()
+        assert written == self.list_form(structure, cfg, checkpoint, chunk)
+        assert hgib.trainer.load_structure(checkpoint, small_dataset, cfg).graph.indices.tolist() == (
+            structure.graph.indices.tolist()
+        )
 
     @pytest.mark.parametrize("graph", ["knn", "dropped", "ragged"])
     def test_round_trip(self, small_dataset, tmp_path, graph):
