@@ -37,22 +37,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
 
-    @classmethod
-    def constant(cls, data: np.ndarray) -> "Tensor":
-        """A read-only constant over `data` without copying it, for an
-        operand built once and shared by every tape (the propagation
-        matrix, the first layer's propagated input)."""
-        if data.dtype != np.float64 or data.ndim != 2:
-            raise ShapeError(f"constant needs a 2-D float64 array, got {data.dtype} ndim={data.ndim}")
-        out = cls.__new__(cls)
-        out.data = data.view()
-        out.data.setflags(write=False)
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._vjp = None
-        return out
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
@@ -165,13 +149,14 @@ def relu_matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: vjp(g * (out > 0.0)))
 
 
-def propagate(p: Tensor, x: Tensor) -> Tensor:
-    """p @ x for a constant n x n p (the propagation matrix), formed wide as
-    (x.T @ p.T).T, and its VJP as (g.T @ p).T: OpenBLAS runs an n x 64
-    p @ x as a slow tall-narrow GEMM. p gets no gradient."""
-    if p.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"propagate: inner dims {p.data.shape} x {x.data.shape}")
-    return _make((x.data.T @ p.data.T).T, (p, x), lambda g: (None, (g.T @ p.data).T))
+def propagate(p: np.ndarray, x: Tensor) -> Tensor:
+    """p @ x for a constant n x n array p (the propagation matrix), formed
+    wide as (x.T @ p.T).T, and its VJP as (g.T @ p).T: OpenBLAS runs an
+    n x 64 p @ x as a slow tall-narrow GEMM. p is not on the tape; the
+    node's one parent is x."""
+    if p.shape[1] != x.data.shape[0]:
+        raise ShapeError(f"propagate: inner dims {p.shape} x {x.data.shape}")
+    return _make((x.data.T @ p.T).T, (x,), lambda g: ((g.T @ p).T,))
 
 
 # ------------------------------------------------------------ reductions

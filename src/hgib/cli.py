@@ -160,7 +160,6 @@ def _attack_config(args: argparse.Namespace, kind: str, seed: int) -> perturb.At
         drop_fraction=args.drop_fraction,
         rho=args.rho,
         seed=seed,
-        per_vertex_max=args.per_vertex_max,
     )
 
 
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a trained model under perturbation",
     )
     p.add_argument("--attack", choices=["none", "drop", "noise"], default="none")
-    p.add_argument("--per-vertex-max", action="store_true")
     p.add_argument("--checkpoint", help="skip training, use this checkpoint")
     p.set_defaults(func=cmd_attack)
 
@@ -342,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--attacks", nargs="+", default=["none", "drop", "noise"],
         choices=["none", "drop", "noise"],
     )
-    p.set_defaults(func=cmd_sweep, per_vertex_max=False)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

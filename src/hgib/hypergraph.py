@@ -7,7 +7,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import DataError, StructureError
 
 
@@ -86,15 +85,13 @@ class Hypergraph:
 
     def propagation(self) -> np.ndarray:
         """Dv^-1 H De^-1 H^T, built once and read-only; the linear part of
-        one convolution layer."""
-        return self.propagation_tensor.data
+        one convolution layer, shared by every forward pass so that none
+        copies the n x n matrix."""
+        return self._propagation
 
     @cached_property
-    def propagation_tensor(self) -> Tensor:
-        """The propagation matrix as a constant tape operand, shared by every
-        forward pass so that none copies the n x n matrix.
-
-        P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
+    def _propagation(self) -> np.ndarray:
+        """P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
         for each edge size (a kNN graph has one), integer co-membership
         counts divided by that size, summed over the sizes in ascending
         order, then divided by dv.
@@ -137,7 +134,8 @@ class Hypergraph:
                 if i == sizes.size - 1:
                     block /= dv[lo:hi]
                 del counts   # so that no two blocks' buffers are held at once
-        return Tensor.constant(P)
+        P.setflags(write=False)
+        return P
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ def hgnnp_layer_forward(
     if theta.shape[0] != x.shape[1]:
         raise ShapeError(f"theta rows {theta.shape[0]} != feature dim {x.shape[1]}")
     if px is None:
-        px = ad.propagate(g.propagation_tensor, x)
+        px = ad.propagate(g.propagation(), x)
     elif px.shape != x.shape:
         raise ShapeError(f"propagated input {px.shape} != feature shape {x.shape}")
     return ad.relu_matmul(px, theta)

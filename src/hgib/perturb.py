@@ -24,7 +24,6 @@ class AttackConfig:
     drop_fraction: float = 0.2
     rho: float = 0.01
     seed: int = 0
-    per_vertex_max: bool = False  # alternative reading of the noise scale r
 
     def __post_init__(self):
         check_field_types(self)
@@ -61,22 +60,14 @@ def drop_hyperedges(g: Hypergraph, fraction: float, seed: int) -> Hypergraph:
     raise StructureError("could not drop hyperedges without uncovering a vertex")
 
 
-def noise_scale(X: np.ndarray, per_vertex_max: bool = False) -> float:
-    """The scale r: mean of the per-dimension feature maxima (default), or
-    mean of the per-vertex maxima under the alternative reading."""
-    axis = 1 if per_vertex_max else 0
-    return float(X.max(axis=axis).mean())
-
-
-def inject_feature_noise(
-    X: np.ndarray, rho: float, seed: int, per_vertex_max: bool = False
-) -> np.ndarray:
-    """X + rho * r * E with E i.i.d. standard normal; identity at rho=0."""
+def inject_feature_noise(X: np.ndarray, rho: float, seed: int) -> np.ndarray:
+    """X + rho * r * E with E i.i.d. standard normal and r the mean of the
+    per-dimension feature maxima; identity at rho=0."""
     X = np.asarray(X, dtype=np.float64)
     if rho == 0.0:
         return X.copy()
     rng = substream(seed, "attack")
-    r = noise_scale(X, per_vertex_max)
+    r = float(X.max(axis=0).mean())
     return X + rho * r * rng.standard_normal(X.shape)
 
 
@@ -90,9 +81,7 @@ def attacked(prepared: Prepared, cfg: AttackConfig) -> Prepared:
             structure, graph=drop_hyperedges(structure.graph, cfg.drop_fraction, cfg.seed)
         )
     elif cfg.kind == "noise":
-        noisy = inject_feature_noise(
-            structure.features.data, cfg.rho, cfg.seed, cfg.per_vertex_max
-        )
+        noisy = inject_feature_noise(structure.features.data, cfg.rho, cfg.seed)
         structure = replace(structure, features=Tensor(noisy))
     return replace(prepared, structure=structure)
 

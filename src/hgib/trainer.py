@@ -18,7 +18,7 @@ import numpy as np
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step, propagate
 from .data import Dataset, fuse_and_build, normalize, write_text_atomic
-from .errors import DataError, check_field_types
+from .errors import DataError, StructureError, check_field_types
 from .hypergraph import Hypergraph
 from .losses import LossConfig
 from .metrics import MetricsReport
@@ -73,7 +73,9 @@ class Structure:
         """P @ X, the first layer's constant propagated input, computed once
         by `propagate` and read-only. `dataclasses.replace` does not carry it
         over, so a copy with other features or another graph computes its own."""
-        return Tensor.constant(propagate(self.graph.propagation_tensor, self.features).data)
+        px = propagate(self.graph.propagation(), self.features)
+        px.data.setflags(write=False)
+        return px
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,11 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
         raise DataError("checkpoint's run had other input data: its fingerprint differs")
     if members[0] != dataset.n:
         raise DataError(f"malformed run record {path}: its graph has {members[0]!r} vertices")
-    return Structure(dataset, cfg.k_neighbors, Tensor(fused), Hypergraph.from_members(*members))
+    try:
+        graph = Hypergraph.from_members(*members)
+    except StructureError as exc:
+        raise DataError(f"malformed run record {path}: {exc}") from exc
+    return Structure(dataset, cfg.k_neighbors, Tensor(fused), graph)
 
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:

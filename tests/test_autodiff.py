@@ -5,6 +5,7 @@ from hgib import autodiff as ad
 from hgib.autodiff import AdamState, Tensor, adam_step
 from hgib.errors import NonFiniteError, ShapeError
 from hgib.losses import ce_focal_loss, kl_sigmoid_half
+from hgib.trainer import build
 
 from oracles import adam_oracle, assert_close_gradients, finite_difference_grads
 
@@ -48,19 +49,19 @@ class TestPropagate:
     def operands(seed, n=7, d=3):
         rng = np.random.default_rng(seed)
         p = rng.random((n, n))
-        return Tensor.constant(p / p.sum(axis=1, keepdims=True)), rng.normal(size=(n, d))
+        return p / p.sum(axis=1, keepdims=True), rng.normal(size=(n, d))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_tall_product(self, seed):
         # within rounding, not bitwise: the bits depend on the BLAS kernel
         p, x = self.operands(seed, n=40, d=16)
-        np.testing.assert_allclose(ad.propagate(p, Tensor(x)).data, p.data @ x, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(ad.propagate(p, Tensor(x)).data, p @ x, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_match_finite_differences(self, seed):
         p, x_data = self.operands(seed)
         x = Tensor(x_data, requires_grad=True)
-        w = Tensor.constant(np.random.default_rng(seed + 10).normal(size=(3, 3)))
+        w = Tensor(np.random.default_rng(seed + 10).normal(size=(3, 3)))
         labels = np.array([0, 2, 1, 1, 0, 2, 1])
 
         def build():
@@ -78,9 +79,10 @@ class TestPropagate:
         x = Tensor(x_data, requires_grad=True)
         out = ad.propagate(p, x)
         g = np.random.default_rng(1).normal(size=out.shape)
-        grad_p, grad_x = out._vjp(g)
-        assert grad_p is None and not np.shares_memory(grad_x, g)
-        np.testing.assert_allclose(grad_x, p.data.T @ g, rtol=1e-14, atol=1e-15)
+        assert out._parents == (x,)   # p is not on the tape
+        (grad_x,) = out._vjp(g)
+        assert not np.shares_memory(grad_x, g)
+        np.testing.assert_allclose(grad_x, p.T @ g, rtol=1e-14, atol=1e-15)
         assert ad.propagate(p, Tensor(x_data))._vjp is None   # nothing to differentiate
 
     def test_shape_mismatch(self):
@@ -89,21 +91,24 @@ class TestPropagate:
             ad.propagate(p, Tensor(x[:3]))
 
 
-class TestConstant:
-    def test_shares_memory_and_is_read_only(self):
-        data = np.arange(6.0).reshape(2, 3)
-        t = Tensor.constant(data)
-        assert np.shares_memory(t.data, data) and not t.requires_grad
-        with pytest.raises(ValueError):
-            t.data[0, 0] = 1.0
-        data[0, 0] = 7.0  # the caller's own array stays writable
-        assert t.data[0, 0] == 7.0
+class TestPropagatedOperands:
+    """P and P·X are read-only arrays, and no tape holds P."""
 
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ShapeError):
-            Tensor.constant(np.zeros(3))
-        with pytest.raises(ShapeError):
-            Tensor.constant(np.zeros((2, 2), dtype=int))
+    def test_p_and_px_reject_writes(self, small_dataset):
+        s = build(small_dataset, 5)
+        P, px = s.graph.propagation(), s.propagated_features
+        for arr in (P, px.data):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        np.testing.assert_allclose(px.data, P @ s.features.data, rtol=1e-14, atol=1e-15)
+
+    def test_x_is_the_only_parent(self):
+        p, x_data = TestPropagate.operands(0)
+        x = Tensor(x_data, requires_grad=True)
+        out = ad.propagate(p, x)
+        assert out._parents == (x,) and len(out._vjp(np.ones(out.shape))) == 1
+        hidden = ad.relu_matmul(x, Tensor(np.eye(3)))   # an interior node as x
+        assert ad.propagate(p, hidden)._parents == (hidden,)
 
 
 class TestElementwise:

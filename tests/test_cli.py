@@ -427,7 +427,7 @@ def _counting(owner, attr, member, calls, name):
 
 class TestLibraryHoldsOnlyWhatRuns:
     """Every public function, method, property and constructor of the
-    package runs on some command's path, apart from the four that only the
+    package runs on some command's path, apart from the three that only the
     benchmark calls."""
 
     EXEMPT = {
@@ -435,8 +435,6 @@ class TestLibraryHoldsOnlyWhatRuns:
         "hgib.hypergraph.Hypergraph.__init__",
         # hgibbench/checks.py, build_reference and perturbed: graphs against dense oracles
         "hgib.hypergraph.Hypergraph.incidence",
-        # hgibbench/checks.py, build_reference, and workloads.py, setup_seconds: P as an array
-        "hgib.hypergraph.Hypergraph.propagation",
         # hgibbench/workloads.py, isolated_backward: a conv output reduced to a scalar
         "hgib.autodiff.tsum",
     }
@@ -818,7 +816,7 @@ class TestSweep:
         assert [row["status"] for row in rows] == ["ok"]
 
     def test_attack_grid_trains_each_seed_once(self, tmp_path, synth_cfg, monkeypatch):
-        calls = {"train": 0, "knn": 0, "propagation_tensor": 0}
+        calls = {"train": 0, "knn": 0, "_propagation": 0}
         monkeypatch.setattr(
             hgib.trainer, "train", counted(calls, "train", hgib.trainer.train)
         )
@@ -827,7 +825,7 @@ class TestSweep:
             "build_knn_hyperedges",
             counted(calls, "knn", hgib.data.build_knn_hyperedges),
         )
-        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
+        count_builds(monkeypatch, calls, Hypergraph, "_propagation")
         out = tmp_path / "sweep"
         code = main(
             [
@@ -854,7 +852,7 @@ class TestSweep:
         assert code == 0
         # two modalities: one kNN graph each, shared by both seeds; the clean
         # P once, and one P per (drop row, seed), none of them the clean P again
-        assert calls == {"train": 2, "knn": 2, "propagation_tensor": 3}
+        assert calls == {"train": 2, "knn": 2, "_propagation": 3}
 
         monkeypatch.undo()
         dataset = generate_synthetic(SynthConfig(**json.loads(Path(synth_cfg).read_text())))
@@ -983,11 +981,11 @@ class TestSweep:
         # --synth default has 720 hyperedges, so both fractions drop none: the
         # drop row reads the clean graph's P, which is built once
         calls = Counter()
-        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
+        count_builds(monkeypatch, calls, Hypergraph, "_propagation")
         argv = ["sweep", "--synth", "default", "--grid", "attacks", "--attacks", "none", "drop"]
         argv += ["--drop-fraction", drop_fraction, "--seeds", "1", "2", "3", "--epochs", "1"]
         assert main([*argv, "--k", "5", "--out", str(tmp_path)]) == 0
-        assert calls == {"propagation_tensor": 1}
+        assert calls == {"_propagation": 1}
         none, drop = json.loads((tmp_path / "table.json").read_text())["rows"]
         assert drop["status"] == "ok" and drop["metrics"] == none["metrics"]
 
@@ -1037,7 +1035,7 @@ class TestSweep:
         count_calls(hgib.trainer, "train", "train")
         count_calls(hgib.trainer, "normalize", "normalize")
         count_calls(hgib.data, "build_knn_hyperedges", "knn")
-        count_builds(monkeypatch, calls, Hypergraph, "propagation_tensor")
+        count_builds(monkeypatch, calls, Hypergraph, "_propagation")
         count_builds(monkeypatch, calls, hgib.trainer.Structure, "propagated_features")
         argv = ["sweep", "--synth", synth_cfg, "--grid", *grid, "--seeds", "1", "2"]
         assert main([*argv, "--epochs", "2", "--k", "5", "--out", str(tmp_path)]) == 0
@@ -1045,7 +1043,7 @@ class TestSweep:
         assert all(row["status"] == "ok" for row in rows)
         # two modalities: one kNN graph each, one P and one normalization per call
         assert calls == {
-            "normalize": 1, "knn": 2, "propagation_tensor": 1, "train": counts["train"],
+            "normalize": 1, "knn": 2, "_propagation": 1, "train": counts["train"],
             "propagated_features": counts["P @ X"],
         }
 
@@ -1077,7 +1075,7 @@ class TestSweepMemory:
     def test_dropped_p_built_beside_no_other_n_by_n_array(self, tmp_path, monkeypatch):
         synth = tmp_path / "synth.json"
         synth.write_text(json.dumps({"n": self.n, "dims": [8, 8], "seed": 3}))
-        build = Hypergraph.propagation_tensor.func
+        build = Hypergraph._propagation.func
         peaks = []
 
         def traced_build(g):
@@ -1087,8 +1085,8 @@ class TestSweepMemory:
             return P
 
         prop = cached_property(traced_build)
-        prop.__set_name__(Hypergraph, "propagation_tensor")
-        monkeypatch.setattr(Hypergraph, "propagation_tensor", prop)
+        prop.__set_name__(Hypergraph, "_propagation")
+        monkeypatch.setattr(Hypergraph, "_propagation", prop)
         argv = ["sweep", "--synth", str(synth), "--grid", "attacks", "--attacks", "none", "drop"]
         argv += ["--seeds", "1", "2", "--epochs", "1", "--k", "10", "--out", str(tmp_path)]
         tracemalloc.start()
@@ -1323,5 +1321,6 @@ class TestCheckpointKnowsItsRun:
         edit(record)
         (bad / "checkpoint.meta.json").write_text(json.dumps(record))
         assert main(["eval", *self.checkpoint_args(bad, data, "--out", str(tmp_path / "out"))]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        path = bad / "checkpoint.meta.json"
+        assert capsys.readouterr().err.startswith(f"error: malformed run record {path}: ")
         assert knn_calls == {"knn": 0}

@@ -108,7 +108,7 @@ class TestForward:
         g = Hypergraph(random_hypergraph(rng, 6))
         x = Tensor(rng.normal(size=(6, 3)))
         state = init_params(3, [4, 4], 2, substream(0, "init"))
-        px = Tensor.constant(ad.propagate(g.propagation_tensor, x).data)
+        px = ad.propagate(g.propagation(), x)
         plain, _ = forward(x, g, state)
         hoisted, _ = forward(x, g, state, px)
         np.testing.assert_array_equal(hoisted.data, plain.data)
@@ -124,7 +124,7 @@ class TestForward:
 
         def run(H, x):
             g = Hypergraph(H)
-            px = Tensor.constant(g.propagation() @ x) if precomputed else None
+            px = Tensor(g.propagation() @ x) if precomputed else None
             logits, per_layer = forward(Tensor(x), g, state, px)
             return [logits.data] + [t.data for layer in per_layer for t in layer]
 

@@ -14,7 +14,7 @@ from hgib import (
 from hgib.autodiff import Tensor
 from hgib.errors import StructureError
 from hgib.hypergraph import Hypergraph
-from hgib.perturb import noise_scale
+from hgib.seeding import substream
 from hgib.trainer import Prepared, Structure, evaluate_state
 
 from conftest import random_hypergraph
@@ -73,25 +73,26 @@ class TestInjectFeatureNoise:
         X = np.random.default_rng(0).random((5, 4))
         np.testing.assert_array_equal(inject_feature_noise(X, 0.0, seed=1), X)
 
+    @staticmethod
+    def scale(X, rho, seed):
+        """r read back from the noise: (out - X) / (rho * E), E the same draw."""
+        E = substream(seed, "attack").standard_normal(X.shape)
+        return (inject_feature_noise(X, rho, seed) - X) / (rho * E)
+
     def test_hand_scale(self):
         X = np.array([[1.0, 3.0], [2.0, 1.0]])
-        assert noise_scale(X) == 2.5  # column maxima (2, 3)
+        np.testing.assert_allclose(self.scale(X, 0.01, 2), 2.5)  # column maxima (2, 3)
         out = inject_feature_noise(X, 0.01, seed=2)
         assert out.shape == X.shape
         assert not np.array_equal(out, X)
-
-    def test_per_vertex_alternative(self):
-        X = np.array([[1.0, 3.0], [2.0, 1.0]])
-        assert noise_scale(X, per_vertex_max=True) == 2.5  # row maxima (3, 2)
         X2 = np.array([[1.0, 5.0], [2.0, 1.0], [0.0, 0.0]])
-        assert noise_scale(X2) == 3.5  # column maxima (2, 5)
-        assert noise_scale(X2, per_vertex_max=True) == pytest.approx(7.0 / 3.0)
+        np.testing.assert_allclose(self.scale(X2, 0.01, 2), 3.5)  # column maxima (2, 5)
 
     def test_empirical_noise_statistics(self):
         X = np.random.default_rng(1).random((100, 100))
         rho = 0.01
         delta = inject_feature_noise(X, rho, seed=3) - X
-        target = rho * noise_scale(X)
+        target = rho * X.max(axis=0).mean()
         assert abs(delta.std() - target) / target < 0.05
         # mean within 3 sigma of zero
         assert abs(delta.mean()) < 3 * target / np.sqrt(delta.size)

@@ -208,9 +208,9 @@ class TestPrepared:
         structure = prepare(small_dataset, tiny_cfg()).structure
         px = structure.propagated_features
         assert px is structure.propagated_features
-        p, x = structure.graph.propagation_tensor, structure.features
+        p, x = structure.graph.propagation(), structure.features
         np.testing.assert_array_equal(px.data, propagate(p, x).data)   # the one P·X path
-        np.testing.assert_allclose(px.data, p.data @ x.data, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(px.data, p @ x.data, rtol=1e-14, atol=1e-15)
         with pytest.raises(ValueError):
             px.data[0, 0] = 1.0
 
