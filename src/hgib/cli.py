@@ -10,12 +10,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
+import re
+import signal
 import sys
 import time
+import traceback
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import model, perturb, trainer
+from .autodiff import Tensor
 from .data import Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
 from .errors import HgibError
 from .hypergraph import Hypergraph
@@ -182,11 +188,11 @@ def _plan(args: argparse.Namespace) -> list[tuple]:
 
 
 def _trained(structure: trainer.Structure, cfg: TrainConfig) -> tuple:
-    """The masks and model state of a training on `structure`. Its RunRecord,
-    which holds the structure and so its P, is not kept."""
+    """The masks and parameter arrays of a training on `structure`. Its
+    RunRecord, which holds the structure and so its P, is not kept."""
     record = trainer.train(structure, cfg)
-    p = record.prepared
-    return (p.labeled_mask, p.test_mask), record.model_state
+    p, state = record.prepared, record.model_state
+    return (p.labeled_mask, p.test_mask), [t.data for t in state.thetas], [t.data for t in state.projectors]
 
 
 def _released(structure: trainer.Structure) -> trainer.Structure:
@@ -202,6 +208,111 @@ def _attempt(seed: int, step):
         return step()
     except (HgibError, ValueError) as exc:
         return f"seed {seed}: {exc}"
+
+
+# A sweep trains in forked processes only at this many epochs or more. A
+# fork costs about 10 ms, which fewer epochs at n=240 do not repay: the
+# break-even, measured in CHANGES.md, lies between 5 and 10 epochs.
+_FORK_MIN_EPOCHS = 20
+
+
+def _blas_threads(cpus: int) -> int:
+    """The thread count OpenBLAS takes when it loads: the first positive
+    value (read as C's atoi does) of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+    and OMP_NUM_THREADS, else `cpus`; never more than `cpus`."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
+        if value and int(value.group()) > 0:
+            return min(int(value.group()), cpus)
+    return cpus
+
+
+def _workers(jobs: int, epochs: int) -> int:
+    """The processes that train a sweep's `jobs` runs of `epochs` epochs:
+    as many as the usable CPUs hold at the BLAS thread count, which a forked
+    child keeps, and at most one per run. One below `_FORK_MIN_EPOCHS`, and
+    on a platform without `os.sched_getaffinity` (macOS, Windows), where a
+    process that has loaded BLAS is not forked."""
+    if epochs < _FORK_MIN_EPOCHS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(jobs, cpus // _blas_threads(cpus)))
+
+
+def _share(train, jobs: list, caught) -> list:
+    """train(change, seed) for each (change, seed) job, in order. A job
+    after its change's failure here is not run (None). An exception of a
+    type in `caught` is its job's value, and the next job runs."""
+    values, failed = [], set()
+    for change, seed in jobs:
+        value = None
+        if change not in failed:
+            try:
+                value = train(change, seed)
+            except caught as exc:
+                value = exc
+            if isinstance(value, (str, Exception)):
+                failed.add(change)
+        values.append(value)
+    return values
+
+
+def _serve(share, jobs: list, fd: int, inherited: list):
+    """In a forked child: write share(jobs) to `fd` as one pickle and leave
+    through os._exit, so none of the parent's exit handlers, buffered
+    output or exception handlers run here. Never returns. The `inherited`
+    read ends are closed first: a child that held its own would block
+    forever on a full pipe that the parent no longer reads."""
+    status = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        values = share(jobs)
+        for value in values:
+            if isinstance(value, Exception):   # a pickle drops the traceback: send it as a note
+                trace = "".join(traceback.format_exception(type(value), value, value.__traceback__))
+                value.__notes__ = [*getattr(value, "__notes__", []), f"in sweep worker {os.getpid()}:\n{trace}"]
+        payload = pickle.dumps(values, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fanned_out(share, jobs: list, w: int) -> list:
+    """share(jobs[k::w]) for each k < w, merged in job order: k = 0 here,
+    each other k in a forked child that keeps this process's BLAS thread
+    count (OpenBLAS stops its thread pool at a fork, and a child starts its
+    own). Every child is reaped before this returns or raises."""
+    live, pipes = [], []
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(share, jobs[k::w], write, pipes)
+                live.append(pid)
+            finally:
+                os.close(write)
+        values = [None] * len(jobs)
+        values[0::w] = share(jobs[0::w])
+        for k, (pid, pipe) in enumerate(zip(list(live), pipes), 1):
+            payload = pipe.read()   # before the wait: a child blocks on a full pipe
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            if not payload:
+                raise RuntimeError(f"sweep worker {pid} sent no runs (wait status {status})")
+            values[k::w] = pickle.loads(payload)
+        return values
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -224,16 +335,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     structure = _attempt(args.seeds[0], lambda: trainer.prepare(dataset, first).structure)
     built = not isinstance(structure, str)
     # each distinct change trains its seeds in order, to its first failure,
-    # while the clean P exists; a run is (masks, state) or its row message
-    runs = {change: [] for _, change, _ in plan}
-    for change, change_runs in runs.items():
-        for seed in args.seeds:
-            change_runs.append(
-                _attempt(seed, lambda: _trained(structure, replace(cfg, seed=seed, **dict(change))))
-                if built else structure
-            )
-            if isinstance(change_runs[-1], str):
-                break
+    # while the clean P exists; a run is (masks, parameter arrays) or its
+    # row message. The runs are dealt round-robin over `w` processes, which
+    # share the structure, P and P·X built here before the fork
+    runs = {change: [] if built else [structure] for _, change, _ in plan}
+    jobs = [(change, seed) for change in runs for seed in args.seeds] if built else []
+
+    def train(change: tuple, seed: int):
+        return _attempt(seed, lambda: _trained(structure, replace(cfg, seed=seed, **dict(change))))
+
+    w = _workers(len(jobs), cfg.epochs)
+    if w > 1:
+        _ = structure.propagated_features   # built once, before the fork
+        values = _fanned_out(lambda share: _share(train, share, Exception), jobs, w)
+    else:
+        values = _share(train, jobs, ())
+    # the runs the one-process order reaches: each change's, to its first failure
+    for (change, _), value in zip(jobs, values):
+        if runs[change] and isinstance(runs[change][-1], str):
+            continue
+        if isinstance(value, Exception):
+            raise value
+        runs[change].append(value)
 
     def row(change: tuple, kind: str):
         """The row's metrics over its seeds, or the message of its first
@@ -242,7 +365,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed, run in zip(args.seeds, runs[change]):
             if isinstance(run, str):
                 return run
-            masks, state = run
+            masks, thetas, projectors = run
+            state = model.ModelState([Tensor(t) for t in thetas], [Tensor(p) for p in projectors])
             report = _attempt(seed, lambda: perturb.attack_evaluate(
                 trainer.Prepared(structure, *masks), state, replace(attack, kind=kind, seed=seed),
             ))

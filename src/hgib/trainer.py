@@ -233,8 +233,9 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
     stored member lists, so no kNN graph is built. A missing or malformed
     record, a checkpoint other than the one the record was written with
     (checked first), a compared config field that differs from the run's
-    (_COMPARED) or another input (its fingerprint) is a DataError, raised
-    before any structure is built."""
+    (_COMPARED), another input (its fingerprint) or a graph that leaves a
+    vertex in no hyperedge is a DataError, raised before any structure is
+    built."""
     path = _record_path(checkpoint)
     try:
         with open(path) as fh:
@@ -275,6 +276,10 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
         graph = Hypergraph.from_members(*members)
     except StructureError as exc:
         raise DataError(f"malformed run record {path}: {exc}") from exc
+    # checked here, not when P is built, which a drop attack never does
+    if graph.vertex_degrees.min() < 1:
+        vertex = np.argmin(graph.vertex_degrees)
+        raise DataError(f"malformed run record {path}: vertex {vertex} is in no hyperedge")
     return Structure(dataset, cfg.k_neighbors, Tensor(fused), graph)
 
 

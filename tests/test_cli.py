@@ -1,4 +1,5 @@
 import base64
+import ctypes
 import errno
 import importlib
 import inspect
@@ -651,6 +652,14 @@ class TestOneEvaluationPerReport:
         assert calls == {"evaluate": evaluations}
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """A sweep's trainings in this process, whatever the BLAS thread count:
+    a count of calls sees only this process's."""
+    monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 1)
+
+
+@pytest.mark.usefixtures("one_process")
 class TestSweep:
     def test_label_grid_table(self, tmp_path, synth_cfg):
         out = tmp_path / "sweep"
@@ -1064,6 +1073,7 @@ class TestSweep:
         assert rows == [{"setting": s, "status": "error", "error": error} for s in settings]
 
 
+@pytest.mark.usefixtures("one_process")
 class TestSweepMemory:
     """At n = 1500 one n x n float64 array is 17 MiB, more than anything
     else a sweep holds. The drop rows are evaluated after the clean graph's
@@ -1100,6 +1110,176 @@ class TestSweepMemory:
         p_bytes = self.n * self.n * 8
         assert len(peaks) == 3
         assert max(peaks[1:]) < p_bytes + p_bytes // 2, [peak / 2**20 for peak in peaks]
+
+
+def _fail_at(monkeypatch, at, exc):
+    """trainer.train raising `exc` for the (label fraction, seed) pairs in `at`."""
+    train = hgib.trainer.train
+
+    def failing_train(data, cfg):
+        if (cfg.label_fraction, cfg.seed) in at:
+            raise exc
+        return train(data, cfg)
+
+    monkeypatch.setattr(hgib.trainer, "train", failing_train)
+
+
+class TestSweepFanOut:
+    """A sweep deals its runs round-robin over forked processes when the
+    BLAS threads leave cores idle; the table is the one-process table, and
+    no child outlives the call."""
+
+    LABELS = ["--grid", "labels", "--fractions", "1.0", "0.5", "--seeds", "1", "2", "3"]
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def two_processes(self, monkeypatch):
+        monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 2)
+
+    def sweep(self, tmp_path, synth_cfg, out, *grid):
+        argv = ["sweep", "--synth", synth_cfg, *grid, "--epochs", "2", "--k", "5"]
+        return main([*argv, "--out", str(tmp_path / out)])
+
+    def test_table_byte_identical_to_one_process(self, tmp_path, monkeypatch):
+        # at n = 240 the bits do not depend on the BLAS thread count, so a
+        # one-thread run that fans out must write the default-thread table
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        if hgib.cli._workers(2, hgib.cli._FORK_MIN_EPOCHS) < 2:
+            pytest.skip("one usable CPU: the sweep cannot fan out")
+        argv = ["sweep", "--synth", "default", "--grid", "attacks", "--seeds", "1", "2"]
+        argv += ["--epochs", str(hgib.cli._FORK_MIN_EPOCHS), "--k", "5", "--lr", "1e-3"]
+        src = str(Path(hgib.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "hgib.cli", *argv, "--out", str(tmp_path / "forked")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 1)
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        forked = (tmp_path / "forked" / "table.json").read_bytes()
+        assert forked == (tmp_path / "one" / "table.json").read_bytes()
+        rows = json.loads(forked)["rows"]
+        assert [row["status"] for row in rows] == ["ok"] * 3
+
+    @pytest.mark.parametrize(
+        "at",
+        [{(1.0, 2)}, {(1.0, 1)}, {(0.5, 3)}, {(1.0, 2), (0.5, 1)}],
+        ids=["child", "parent-first-seed", "parent-last-seed", "both"],
+    )
+    def test_failed_run_gives_the_one_process_row(self, tmp_path, synth_cfg, monkeypatch, at):
+        # three seeds over two processes: the parent trains jobs 0, 2 and 4
+        # of (1.0, 1), (1.0, 2), (1.0, 3), (0.5, 1), (0.5, 2), (0.5, 3)
+        _fail_at(monkeypatch, at, hgib.errors.DataError("training refused"))
+        monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 1)
+        assert self.sweep(tmp_path, synth_cfg, "one", *self.LABELS) == 0
+        monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 2)
+        assert self.sweep(tmp_path, synth_cfg, "two", *self.LABELS) == 0
+        table = (tmp_path / "two" / "table.json").read_bytes()
+        assert table == (tmp_path / "one" / "table.json").read_bytes()
+        assert "error" in [row["status"] for row in json.loads(table)["rows"]]
+
+    @pytest.mark.usefixtures("two_processes")
+    def test_exception_in_a_child_is_raised(self, tmp_path, synth_cfg, monkeypatch):
+        _fail_at(monkeypatch, {(1.0, 2)}, RuntimeError("bug at seed 2"))
+        with pytest.raises(RuntimeError, match="bug at seed 2") as raised:
+            self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
+        # the child's traceback comes along as a note
+        assert "in failing_train" in "".join(raised.value.__notes__)
+        assert not (tmp_path / "out" / "table.json").exists()
+
+    @pytest.mark.usefixtures("two_processes")
+    def test_exception_past_a_failure_is_not_raised(self, tmp_path, synth_cfg, monkeypatch):
+        # seed 1 fails in the parent, so one process would never reach the
+        # child's seed 2: its exception is discarded with its run
+        train = hgib.trainer.train
+
+        def failing_train(data, cfg):
+            if cfg.seed == 1:
+                raise hgib.errors.DataError("training refused")
+            if cfg.seed == 2:
+                raise RuntimeError("bug at seed 2")
+            return train(data, cfg)
+
+        monkeypatch.setattr(hgib.trainer, "train", failing_train)
+        grid = ["--grid", "attacks", "--attacks", "none", "--seeds", "1", "2"]
+        assert self.sweep(tmp_path, synth_cfg, "out", *grid) == 0
+        rows = json.loads((tmp_path / "out" / "table.json").read_text())["rows"]
+        assert rows == [{"setting": "none", "status": "error", "error": "seed 1: training refused"}]
+
+    @pytest.mark.usefixtures("two_processes")
+    def test_child_that_sends_nothing_is_an_error(self, tmp_path, synth_cfg, monkeypatch):
+        parent = os.getpid()
+        train = hgib.trainer.train
+
+        def dying_train(data, cfg):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train(data, cfg)
+
+        monkeypatch.setattr(hgib.trainer, "train", dying_train)
+        with pytest.raises(RuntimeError, match="sent no runs"):
+            self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
+
+    @pytest.mark.usefixtures("two_processes")
+    def test_children_reaped_when_the_parent_share_raises(self, tmp_path, synth_cfg, monkeypatch):
+        class Interrupted(BaseException):
+            pass
+
+        _fail_at(monkeypatch, {(1.0, 1)}, Interrupted())
+        with pytest.raises(Interrupted):
+            self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
+
+
+class TestBlasThreads:
+    """`_workers` divides the usable CPUs by the thread count OpenBLAS took
+    when it loaded, read from the environment by OpenBLAS's own rule."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize(
+        "values, threads",
+        [
+            ((None, None, None), 4),
+            (("1", "3", "2"), 1),
+            (("0", "3", "2"), 3),
+            (("-1", None, "2"), 2),
+            (("x", "", " 2 "), 2),
+            (("8", None, None), 4),
+        ],
+        ids=["unset", "openblas-first", "zero-skipped", "negative-skipped", "read-as-atoi", "capped"],
+    )
+    def test_environment_rule(self, monkeypatch, values, threads):
+        for var, value in zip(self.VARS, values):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert hgib.cli._blas_threads(4) == threads
+
+    def test_rule_matches_the_loaded_openblas(self):
+        get_num_threads = None
+        for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+            get_num_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+            if get_num_threads is not None:
+                break
+        if get_num_threads is None:
+            pytest.skip("numpy's bundled OpenBLAS does not export scipy_openblas_get_num_threads64_")
+        get_num_threads.restype = ctypes.c_int
+        cpus = len(os.sched_getaffinity(0))
+        assert hgib.cli._blas_threads(cpus) == get_num_threads()
+
+    def test_no_fork_below_the_cut_off(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert hgib.cli._workers(8, hgib.cli._FORK_MIN_EPOCHS - 1) == 1
+        cpus = len(os.sched_getaffinity(0))
+        assert hgib.cli._workers(8, hgib.cli._FORK_MIN_EPOCHS) == min(8, cpus)
+        assert hgib.cli._workers(1, hgib.cli._FORK_MIN_EPOCHS) == 1
 
 
 class TestAttackSettingsCheckedFirst:
@@ -1306,13 +1486,27 @@ class TestCheckpointKnowsItsRun:
             lambda r: r["graph"].update(indices=base64.b64encode(
                 np.append(_members(r, "indices")[:-1], r["graph"]["num_vertices"]).astype("<i4")
             ).decode()),
+            # n one-member edges, each holding vertex 0: vertex 1 is in none
+            lambda r: r["graph"].update({
+                name: base64.b64encode(members.astype("<i4")).decode()
+                for name, members in (
+                    ("indptr", np.arange(r["graph"]["num_vertices"] + 1)),
+                    ("indices", np.zeros(r["graph"]["num_vertices"])),
+                )
+            }),
         ],
         ids=[
             "no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count",
-            "int-lists", "not-base64", "not-int32-bytes", "member-index-n",
+            "int-lists", "not-base64", "not-int32-bytes", "member-index-n", "uncovered-vertex",
         ],
     )
-    def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, edit):
+    def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, monkeypatch, edit):
+        # eval and a drop attack both refuse the record, naming it, before
+        # any drop is drawn
+        drops = {"drop": 0}
+        monkeypatch.setattr(
+            hgib.perturb, "drop_hyperedges", counted(drops, "drop", hgib.perturb.drop_hyperedges)
+        )
         run, data = csv_run
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -1320,7 +1514,11 @@ class TestCheckpointKnowsItsRun:
         record = json.loads((run / "checkpoint.meta.json").read_text())
         edit(record)
         (bad / "checkpoint.meta.json").write_text(json.dumps(record))
-        assert main(["eval", *self.checkpoint_args(bad, data, "--out", str(tmp_path / "out"))]) == 2
         path = bad / "checkpoint.meta.json"
-        assert capsys.readouterr().err.startswith(f"error: malformed run record {path}: ")
+        for command in (["eval"], ["attack", "--attack", "drop"]):
+            argv = [*command, *self.checkpoint_args(bad, data, "--out", str(tmp_path / "out"))]
+            assert main(argv) == 2, command
+            assert capsys.readouterr().err.startswith(f"error: malformed run record {path}: ")
         assert knn_calls == {"knn": 0}
+        assert drops == {"drop": 0}
+        assert not (tmp_path / "out" / "metrics.json").exists()
