@@ -136,17 +136,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu_matmul(a: Tensor, b: Tensor) -> Tensor:
     """relu(a @ b) as one tape node: the ReLU is applied in place on the
     product, so the tape keeps no pre-activation. The VJP masks g by
-    out > 0, then forms `matmul`'s two products from the masked g. A
-    non-finite product is refused before the ReLU could hide a -inf."""
+    out > 0, then forms `matmul`'s two products from the masked g. The node
+    is made before the ReLU, so `_make` refuses a non-finite product before
+    the ReLU could hide a -inf, and the product is checked once."""
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"relu_matmul: inner dims {a.data.shape} x {b.data.shape}")
     out = a.data @ b.data
-    if not np.isfinite(out).all():
-        raise NonFiniteError("operation produced non-finite values")
+    vjp = _matmul_vjp(a, b)
+    node = _make(out, (a, b), lambda g: vjp(g * (out > 0.0)))
     # np.maximum(-0.0, 0.0) is +0.0, as np.where(x > 0, x, 0) gives
     np.maximum(out, 0.0, out=out)
-    vjp = _matmul_vjp(a, b)
-    return _make(out, (a, b), lambda g: vjp(g * (out > 0.0)))
+    return node
 
 
 def propagate(p: np.ndarray, x: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import model, perturb, trainer
 from .autodiff import Tensor
-from .data import Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
+from .data import CsvInputs, Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
 from .errors import HgibError
 from .hypergraph import Hypergraph
 from .losses import LossConfig
@@ -68,11 +68,13 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return _config(TrainConfig, file_cfg, **_given(args, TrainConfig), loss=loss)
 
 
-def _load_dataset(args: argparse.Namespace) -> Dataset:
+def _load_dataset(args: argparse.Namespace, parse: bool = True) -> Dataset | CsvInputs:
+    """The call's dataset: its --features/--labels files, parsed, or as
+    `CsvInputs` not yet read if not `parse`; or its --synth dataset."""
     if args.features:
         if not args.labels:
             raise HgibError("--labels is required with --features")
-        return load_csv(args.features, args.labels)
+        return load_csv(args.features, args.labels) if parse else CsvInputs(args.features, args.labels)
     if args.synth is None:
         raise HgibError("provide --synth or --features/--labels")
     if args.synth == "default":
@@ -86,8 +88,9 @@ def _evaluate(
     """The metrics of the --checkpoint's model on the structure its run
     record holds, or of a fresh training, on a copy under `attack`. The copy
     is drawn before any training, so an attack that cannot be drawn fails
-    first."""
-    data = _load_dataset(args)
+    first. A --checkpoint call parses its CSV files only if their bytes are
+    not the run's."""
+    data = _load_dataset(args, parse=not args.checkpoint)
     state = None
     if args.checkpoint:
         state = model.load_checkpoint(args.checkpoint)   # fails before the record is read

@@ -5,10 +5,13 @@ atomic artifact writes."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -20,11 +23,15 @@ from .seeding import substream
 
 @dataclass
 class Dataset:
-    """Per-modality feature matrices plus one integer class label per vertex."""
+    """Per-modality feature matrices plus one integer class label per
+    vertex, and the sha256 of the CSV files it was read from
+    (`CsvInputs.sha256`), which `normalize` keeps: None for a dataset not
+    read from files."""
 
     modalities: list[np.ndarray]
     labels: np.ndarray
     class_names: list[str]
+    inputs_sha256: str | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
@@ -69,48 +76,78 @@ class SynthConfig:
             raise ValueError("label_noise in [0, 1]")
 
 
+class CsvInputs:
+    """A dataset's CSV files, one per modality, in order, then the labels
+    file. Each is read once, as bytes, when first needed: their sha256 and
+    their parse come from the same bytes."""
+
+    def __init__(self, feature_paths: list, label_path):
+        if not feature_paths:
+            raise DataError("no modality files given")
+        self.feature_paths = list(feature_paths)
+        self.label_path = label_path
+
+    @cached_property
+    def _contents(self) -> list[bytes]:
+        return [Path(p).read_bytes() for p in [*self.feature_paths, self.label_path]]
+
+    @cached_property
+    def sha256(self) -> str:
+        """One sha256 over every file's bytes, in order, each preceded by
+        its length as 8 little-endian bytes. A byte-order mark is hashed as
+        read."""
+        h = hashlib.sha256()
+        for content in self._contents:
+            h.update(len(content).to_bytes(8, "little"))
+            h.update(content)
+        return h.hexdigest()
+
+    def dataset(self) -> Dataset:
+        """The files parsed, rows aligned by the `id` column. Label values
+        may be class names (mapped in sorted order) or integer indices."""
+        *features, label_content = self._contents
+        ids = None
+        modalities = []
+        for path, content in zip(self.feature_paths, features):
+            file_ids, matrix = _read_feature_csv(path, content)
+            if ids is None:
+                ids = file_ids
+            elif file_ids != ids:
+                bad = next(
+                    (a for a, b in zip(file_ids, ids) if a != b),
+                    file_ids[-1] if len(file_ids) != len(ids) else "?",
+                )
+                raise DataError(f"{path}: row ids do not match (first offender: {bad})")
+            modalities.append(matrix)
+
+        label_map = _read_labels_csv(self.label_path, label_content)
+        missing = [i for i in ids if i not in label_map]
+        if missing:
+            raise DataError(f"{self.label_path}: no label for id {missing[0]}")
+        raw = [label_map[i] for i in ids]
+        names = sorted(set(raw))
+        if all(name.lstrip("-").isdigit() for name in names):
+            labels = np.array([int(v) for v in raw])
+            names = [str(c) for c in range(labels.max() + 1)]
+        else:
+            index = {name: i for i, name in enumerate(names)}
+            labels = np.array([index[v] for v in raw])
+        return Dataset(modalities, labels, names, inputs_sha256=self.sha256)
+
+
 def load_csv(feature_paths: list, label_path) -> Dataset:
-    """Read one CSV per modality plus a labels CSV, aligning rows by the
-    `id` column. Label values may be class names (mapped in sorted order)
-    or integer indices."""
-    if not feature_paths:
-        raise DataError("no modality files given")
-    ids = None
-    modalities = []
-    for path in feature_paths:
-        file_ids, matrix = _read_feature_csv(path)
-        if ids is None:
-            ids = file_ids
-        elif file_ids != ids:
-            bad = next(
-                (a for a, b in zip(file_ids, ids) if a != b),
-                file_ids[-1] if len(file_ids) != len(ids) else "?",
-            )
-            raise DataError(f"{path}: row ids do not match (first offender: {bad})")
-        modalities.append(matrix)
-
-    label_map = _read_labels_csv(label_path)
-    missing = [i for i in ids if i not in label_map]
-    if missing:
-        raise DataError(f"{label_path}: no label for id {missing[0]}")
-    raw = [label_map[i] for i in ids]
-    names = sorted(set(raw))
-    if all(name.lstrip("-").isdigit() for name in names):
-        labels = np.array([int(v) for v in raw])
-        names = [str(c) for c in range(labels.max() + 1)]
-    else:
-        index = {name: i for i, name in enumerate(names)}
-        labels = np.array([index[v] for v in raw])
-    return Dataset(modalities=modalities, labels=labels, class_names=names)
+    """Read one CSV per modality plus a labels CSV (`CsvInputs`) and parse
+    them."""
+    return CsvInputs(feature_paths, label_path).dataset()
 
 
-def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
-    """The ids and the value matrix of a modality CSV, read once: the ids
-    and field counts from the lines, the values by one `np.loadtxt`. Blank
-    lines are skipped, as the csv module skips them; a file holding a quote
-    character is split into fields by the csv module."""
-    with open(path, newline="") as fh:
-        text = fh.read()
+def _read_feature_csv(path, content: bytes) -> tuple[list[str], np.ndarray]:
+    """The ids and the value matrix of a modality CSV's bytes, decoded as
+    UTF-8 past any byte-order mark: the ids and field counts from the lines,
+    the values by one `np.loadtxt`. Blank lines are skipped, as the csv
+    module skips them; a file holding a quote character is split into
+    fields by the csv module."""
+    text = content.decode("utf-8-sig")
     # (line number, id, field count, line whose fields after the first are the values)
     if '"' in text:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -165,9 +202,10 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def _read_labels_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+def _read_labels_csv(path, content: bytes) -> dict:
+    """id -> label of a labels CSV's bytes, decoded as UTF-8 past any
+    byte-order mark."""
+    rows = [r for r in csv.reader(io.StringIO(content.decode("utf-8-sig"), newline="")) if r]
     if len(rows) < 2 or [c.strip().lower() for c in rows[0][:2]] != ["id", "label"]:
         raise DataError(f"{path}: expected 'id,label' header")
     out = {}
@@ -199,6 +237,7 @@ def normalize(dataset: Dataset) -> Dataset:
         modalities=scaled,
         labels=dataset.labels.copy(),
         class_names=list(dataset.class_names),
+        inputs_sha256=dataset.inputs_sha256,
     )
 
 

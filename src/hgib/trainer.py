@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses, metrics, model
 from .autodiff import AdamState, Tensor, adam_step, propagate
-from .data import Dataset, fuse_and_build, normalize, write_text_atomic
+from .data import CsvInputs, Dataset, fuse_and_build, normalize, write_text_atomic
 from .errors import DataError, StructureError, check_field_types
 from .hypergraph import Hypergraph
 from .losses import LossConfig
@@ -203,39 +203,63 @@ def _sha256(path) -> str:
 _MEMBERS = ("indptr", "indices")
 
 
+def _b64(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode()
+
+
+def _decoded(text, dtype: str) -> np.ndarray:
+    """The array whose bytes `text` holds as base64: text that is not
+    base64, or not whole items of `dtype`, is a ValueError; a non-string a
+    TypeError."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype)
+
+
 def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
     """Write, beside the checkpoint file of a training on `structure` under
     `cfg`, its run record: the config, the class names, the input width,
     the fingerprint of the normalized input, the hypergraph's member lists
-    (`_MEMBERS`) and the sha256 of the checkpoint's bytes. It is compact,
-    timestamp-free JSON, written atomically. A graph of 2**31 or more
-    memberships, which int32 cannot index, is a DataError."""
+    (`_MEMBERS`), the normalized input itself (the modality widths, the
+    fused features as base64 `<f8` and the labels as base64 `<i4`), the
+    sha256 of the CSV files it was read from (None for other input) and
+    the sha256 of the checkpoint's bytes. It is compact, timestamp-free
+    JSON, written atomically. A graph of 2**31 or more memberships, which
+    int32 cannot index, is a DataError."""
     g = structure.graph
     if g.indices.size >= 2**31:
         raise DataError(f"the graph's {g.indices.size} memberships do not fit a run record's int32")
+    dataset = structure.dataset
     record = {
         "config": cfg.to_dict(),
-        "class_names": structure.dataset.class_names,
+        "class_names": dataset.class_names,
         "in_dim": structure.features.shape[1],
-        "fingerprint": _fingerprint(structure.dataset, structure.features.data),
+        "fingerprint": _fingerprint(dataset, structure.features.data),
         "graph": {
             "num_vertices": g.num_vertices,
-            **{m: base64.b64encode(getattr(g, m).astype("<i4")).decode() for m in _MEMBERS},
+            **{m: _b64(getattr(g, m), "<i4") for m in _MEMBERS},
         },
+        "dataset": {
+            "widths": [X.shape[1] for X in dataset.modalities],
+            "features": _b64(structure.features.data, "<f8"),
+            "labels": _b64(dataset.labels, "<i4"),
+        },
+        "inputs_sha256": dataset.inputs_sha256,
         "checkpoint_sha256": _sha256(checkpoint),
     }
     write_text_atomic(_record_path(checkpoint), json.dumps(record, separators=(",", ":")))
 
 
-def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
+def load_structure(checkpoint, inputs: CsvInputs | Dataset, cfg: TrainConfig) -> Structure:
     """The structure of the run whose record is beside `checkpoint`, for
-    `dataset` under `cfg`: `dataset` normalized, and the hypergraph from the
-    stored member lists, so no kNN graph is built. A missing or malformed
-    record, a checkpoint other than the one the record was written with
-    (checked first), a compared config field that differs from the run's
-    (_COMPARED), another input (its fingerprint) or a graph that leaves a
-    vertex in no hyperedge is a DataError, raised before any structure is
-    built."""
+    the call's `inputs` under `cfg`: the normalized dataset and the
+    hypergraph from the record, so no kNN graph is built and no CSV file is
+    parsed. A missing or malformed record (its arrays must reproduce its
+    fingerprint), a checkpoint other than the one the record was written
+    with (checked first), a compared config field that differs from the
+    run's (_COMPARED), another input or a graph that leaves a vertex in no
+    hyperedge is a DataError, raised before any structure is built. The
+    input is checked last: CSV files whose bytes hash to the record's
+    `inputs_sha256` are the run's; other files, and a synthetic dataset,
+    are parsed, normalized and compared by their fingerprint."""
     path = _record_path(checkpoint)
     try:
         with open(path) as fh:
@@ -247,15 +271,20 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
     except ValueError as exc:
         raise DataError(f"malformed run record {path}: {exc}") from exc
     try:
-        checkpoint_sha256 = record["checkpoint_sha256"]
-        run_cfg, stored, graph = record["config"], record["fingerprint"], record["graph"]
-        ran = {name: run_cfg[name] for name in _COMPARED}
-        # text that is not base64, or not whole int32s, is a ValueError; a non-string a TypeError
-        members = graph["num_vertices"], *(
-            np.frombuffer(base64.b64decode(graph[m], validate=True), "<i4") for m in _MEMBERS
+        checkpoint_sha256, inputs_sha256 = record["checkpoint_sha256"], record["inputs_sha256"]
+        run_cfg, stored, graph, data = (
+            record["config"], record["fingerprint"], record["graph"], record["dataset"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        ran = {name: run_cfg[name] for name in _COMPARED}
+        members = graph["num_vertices"], *(_decoded(graph[m], "<i4") for m in _MEMBERS)
+        labels = _decoded(data["labels"], "<i4")
+        fused = _decoded(data["features"], "<f8").reshape(labels.size, -1)
+        modalities = np.split(fused, np.cumsum(data["widths"])[:-1], axis=1)
+        dataset = Dataset(modalities, labels, record["class_names"], inputs_sha256)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed run record {path}: {exc!r}") from exc
+    if stored != _fingerprint(dataset, fused):
+        raise DataError(f"malformed run record {path}: its dataset does not reproduce its fingerprint")
     if checkpoint_sha256 != _sha256(checkpoint):
         raise DataError(
             f"{checkpoint} is not the checkpoint its run record was written with: "
@@ -266,10 +295,10 @@ def load_structure(checkpoint, dataset: Dataset, cfg: TrainConfig) -> Structure:
             raise DataError(
                 f"checkpoint's run has {name}={value!r}, this call {name}={getattr(cfg, name)!r}"
             )
-    dataset = normalize(dataset)
-    fused = np.hstack(dataset.modalities)
-    if stored != _fingerprint(dataset, fused):
-        raise DataError("checkpoint's run had other input data: its fingerprint differs")
+    if not (isinstance(inputs, CsvInputs) and inputs.sha256 == inputs_sha256):
+        given = normalize(inputs.dataset() if isinstance(inputs, CsvInputs) else inputs)
+        if stored != _fingerprint(given, np.hstack(given.modalities)):
+            raise DataError("checkpoint's run had other input data: its fingerprint differs")
     if members[0] != dataset.n:
         raise DataError(f"malformed run record {path}: its graph has {members[0]!r} vertices")
     try:

@@ -167,7 +167,8 @@ class TestTrain:
         record = json.loads((out / "checkpoint.meta.json").read_text())
         jsonschema.validate(record, load_schema("checkpoint.meta.schema.json"))
         assert record["config"] == run_doc["config"]
-        assert record["in_dim"] == checkpoint[0]["rows"]
+        assert record["in_dim"] == checkpoint[0]["rows"] == sum(record["dataset"]["widths"])
+        assert record["inputs_sha256"] is None
 
     def test_class_absent_from_test_split_exit_2_before_the_build(self, tmp_path, monkeypatch, capsys):
         calls = count_knn_and_epochs(monkeypatch)
@@ -1329,6 +1330,18 @@ def _members(record, name):
     return np.frombuffer(base64.b64decode(record["graph"][name], validate=True), "<i4")
 
 
+def _edit_features(record, edit):
+    """Replace the bytes of a run record's features blob by edit(bytes)."""
+    data = base64.b64decode(record["dataset"]["features"], validate=True)
+    record["dataset"]["features"] = base64.b64encode(edit(data)).decode()
+
+
+def _one_value_changed(data):
+    values = np.frombuffer(data, "<f8").copy()
+    values[7] += 0.25
+    return values.tobytes()
+
+
 
 class TestCheckpointKnowsItsRun:
     """`train` writes a run record beside its checkpoint. `eval` and
@@ -1387,6 +1400,51 @@ class TestCheckpointKnowsItsRun:
         if head[-1] in ("eval", "none"):
             got = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
             assert got == json.loads((run / "metrics.json").read_text())["metrics"]
+
+    @staticmethod
+    def lf_copies(tmp_path, data):
+        """The data flags of copies of the CSV files, which `hgib synth`
+        writes with CRLF line ends, with LF ones: the same values in other
+        bytes."""
+        copies = []
+        for name in data[1:-2] + data[-1:]:
+            content = Path(name).read_bytes()
+            assert b"\r\n" in content
+            copies.append(tmp_path / f"lf-{Path(name).name}")
+            copies[-1].write_bytes(content.replace(b"\r\n", b"\n"))
+        return ["--features", *map(str, copies[:-1]), "--labels", str(copies[-1])]
+
+    @pytest.mark.parametrize(
+        "head", [["eval"], ["attack", "--attack", "none"], ["attack", "--attack", "drop"], ["attack", "--attack", "noise"]],
+        ids=["eval", "attack-none", "attack-drop", "attack-noise"],
+    )
+    def test_run_inputs_are_not_parsed(self, tmp_path, csv_run, monkeypatch, head):
+        # the run's own files hash to the record's inputs_sha256, so they are
+        # never parsed; LF copies hash otherwise, are parsed once and pass
+        # the fingerprint; both write the same bytes
+        run, data = csv_run
+        parses = {"parse": 0}
+        parse = hgib.data.CsvInputs.dataset
+
+        def refused(self):
+            raise AssertionError("a CSV file was parsed")
+
+        monkeypatch.setattr(hgib.data.CsvInputs, "dataset", refused)
+        assert main([*head, *self.checkpoint_args(run, data, "--out", str(tmp_path / "hit"))]) == 0
+        monkeypatch.setattr(hgib.data.CsvInputs, "dataset", counted(parses, "parse", parse))
+        lf = self.lf_copies(tmp_path, data)
+        assert main([*head, *self.checkpoint_args(run, lf, "--out", str(tmp_path / "miss"))]) == 0
+        assert parses == {"parse": 1}
+        hit, miss = ((tmp_path / out / "metrics.json").read_bytes() for out in ("hit", "miss"))
+        assert hit == miss
+
+    def test_synthetic_run_records_no_inputs_sha256(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--synth", "default", "--epochs", "1", "--k", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "checkpoint.meta.json").read_text())["inputs_sha256"] is None
+        argv = ["eval", "--synth", "default", "--epochs", "1", "--k", "5"]
+        assert main([*argv, "--checkpoint", str(out / "checkpoint.json"), "--out", str(tmp_path / "eval")]) == 0
+        assert (tmp_path / "eval" / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
     @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "drop"]], ids=["eval", "attack"])
     @pytest.mark.parametrize(
@@ -1494,10 +1552,22 @@ class TestCheckpointKnowsItsRun:
                     ("indices", np.zeros(r["graph"]["num_vertices"])),
                 )
             }),
+            # records written before they held the normalized input
+            lambda r: r.pop("dataset"),
+            lambda r: r.pop("inputs_sha256"),
+            # input arrays that do not reproduce the record's fingerprint
+            lambda r: _edit_features(r, _one_value_changed),
+            lambda r: _edit_features(r, lambda data: data[:-1]),
+            lambda r: r["dataset"].update(widths=r["dataset"]["widths"][::-1]),
+            lambda r: r["dataset"].update(labels=base64.b64encode(
+                np.roll(np.frombuffer(base64.b64decode(r["dataset"]["labels"]), "<i4"), 1)
+            ).decode()),
         ],
         ids=[
             "no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count",
             "int-lists", "not-base64", "not-int32-bytes", "member-index-n", "uncovered-vertex",
+            "no-dataset", "no-inputs-sha256", "feature-value", "features-byte-short",
+            "widths-reordered", "labels-rolled",
         ],
     )
     def test_malformed_record_exit_2(self, tmp_path, csv_run, knn_calls, capsys, monkeypatch, edit):

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hgib.data import (
+    CsvInputs,
     Dataset,
     SynthConfig,
     fuse_and_build,
@@ -104,6 +106,49 @@ class TestLoadCsv:
         labels = write(tmp_path / "y.csv", "id,label\np1,0\np2,1\n")
         with pytest.raises(DataError, match="at least one feature column"):
             load_csv([f1], labels)
+
+    @pytest.mark.parametrize("marked", ["features", "labels", "both"])
+    def test_utf8_byte_order_mark(self, tmp_path, marked):
+        # an Excel "CSV UTF-8" export begins with EF BB BF
+        bom = "\ufeff".encode()
+        texts = {"features": b"id,a\r\np1,1\r\np2,2\r\n", "labels": b"id,label\r\np1,NC\r\np2,AD\r\n"}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes(bom + text if marked in (name, "both") else text)
+        ds = load_csv([str(paths["features"])], str(paths["labels"]))
+        np.testing.assert_array_equal(ds.modalities[0], [[1.0], [2.0]])
+        assert ds.class_names == ["AD", "NC"]
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+
+    def test_sha256_of_the_bytes_read(self, tmp_path):
+        # each file's bytes, byte-order mark included, after its length: a
+        # line moved from one file to the next gives another digest
+        f1 = tmp_path / "m1.csv"
+        f1.write_bytes("\ufeffid,a\np1,1\n".encode())
+        labels = write(tmp_path / "y.csv", "id,label\np1,NC\n")
+        inputs = CsvInputs([str(f1)], labels)
+        h = hashlib.sha256()
+        for path in (f1, tmp_path / "y.csv"):
+            content = path.read_bytes()
+            h.update(len(content).to_bytes(8, "little") + content)
+        assert inputs.sha256 == h.hexdigest()
+        assert inputs.dataset().inputs_sha256 == inputs.sha256
+        assert normalize(inputs.dataset()).inputs_sha256 == inputs.sha256
+        moved = CsvInputs([write(tmp_path / "m2.csv", "\ufeffid,a\n")], write(tmp_path / "z.csv", "p1,1\nid,label\np1,NC\n"))
+        assert moved.sha256 != inputs.sha256
+
+    def test_files_read_once(self, tmp_path, monkeypatch):
+        f1 = write(tmp_path / "m1.csv", "id,a\np1,1\np2,2\n")
+        labels = write(tmp_path / "y.csv", "id,label\np1,0\np2,1\n")
+        reads = []
+        read_bytes = type(tmp_path).read_bytes
+        monkeypatch.setattr(type(tmp_path), "read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
+        inputs = CsvInputs([f1], labels)
+        assert reads == []
+        inputs.sha256
+        inputs.dataset()
+        assert reads == [f1, labels]
 
     def test_values_bit_identical_to_the_csv_module(self, tmp_path):
         # quoted ids (a comma, a quote, a line break inside), quoted values,

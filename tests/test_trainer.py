@@ -297,26 +297,34 @@ class TestPrepared:
 class TestSaveRecord:
     @staticmethod
     def list_form(structure, cfg, checkpoint, chunk):
-        """The record as `json.dumps` writes it, its member lists packed as
-        little-endian int32 from their Python lists, `chunk` entries at a
+        """The record as `json.dumps` writes it, its member lists and labels
+        packed as little-endian int32 and its features, row by row, as
+        little-endian float64 from their Python lists, `chunk` entries at a
         time, and base64-encoded whole."""
         g = structure.graph
 
-        def packed(values):
+        def packed(values, code="i"):
             pieces = (values[i:i + chunk] for i in range(0, len(values), chunk))
-            data = b"".join(struct.pack(f"<{len(p)}i", *p) for p in pieces)
+            data = b"".join(struct.pack(f"<{len(p)}{code}", *p) for p in pieces)
             return base64.b64encode(data).decode()
 
+        dataset = structure.dataset
         record = {
             "config": cfg.to_dict(),
-            "class_names": structure.dataset.class_names,
+            "class_names": dataset.class_names,
             "in_dim": structure.features.shape[1],
-            "fingerprint": hgib.trainer._fingerprint(structure.dataset, structure.features.data),
+            "fingerprint": hgib.trainer._fingerprint(dataset, structure.features.data),
             "graph": {
                 "num_vertices": g.num_vertices,
                 "indptr": packed(g.indptr.tolist()),
                 "indices": packed(g.indices.tolist()),
             },
+            "dataset": {
+                "widths": [X.shape[1] for X in dataset.modalities],
+                "features": packed([v for row in structure.features.data.tolist() for v in row], "d"),
+                "labels": packed(dataset.labels.tolist()),
+            },
+            "inputs_sha256": dataset.inputs_sha256,
             "checkpoint_sha256": hgib.trainer._sha256(checkpoint),
         }
         return json.dumps(record, separators=(",", ":")).encode()
@@ -369,6 +377,18 @@ class TestSaveRecord:
         assert loaded.num_vertices == structure.graph.num_vertices
         np.testing.assert_array_equal(loaded.indptr, structure.graph.indptr)
         np.testing.assert_array_equal(loaded.indices, structure.graph.indices)
+
+    def test_loaded_input_is_the_saved_bits(self, small_dataset, tmp_path):
+        # the record's features and labels are the ones training normalized
+        cfg = tiny_cfg()
+        structure = build(small_dataset, 5)
+        loaded = hgib.trainer.load_structure(self.saved(structure, cfg, tmp_path), small_dataset, cfg)
+        assert loaded.features.data.tobytes() == structure.features.data.tobytes()
+        for got, saved in zip(loaded.dataset.modalities, structure.dataset.modalities, strict=True):
+            assert got.tobytes() == saved.tobytes()
+        np.testing.assert_array_equal(loaded.dataset.labels, structure.dataset.labels)
+        assert loaded.dataset.class_names == structure.dataset.class_names
+        assert loaded.dataset.inputs_sha256 is None
 
     def test_memberships_past_int32_refused(self, small_dataset, tmp_path):
         # one edge of 2**31 members, a broadcast view that allocates none of
