@@ -287,7 +287,9 @@ def _fanned_out(share, jobs: list, w: int) -> list:
     """share(jobs[k::w]) for each k < w, merged in job order: k = 0 here,
     each other k in a forked child that keeps this process's BLAS thread
     count (OpenBLAS stops its thread pool at a fork, and a child starts its
-    own). Every child is reaped before this returns or raises."""
+    own); at w = 1 nothing is forked. A child that does not exit 0, which
+    it does only once its whole payload is written, is a RuntimeError.
+    Every child is reaped before this returns or raises."""
     live, pipes = [], []
     try:
         for k in range(1, w):
@@ -306,7 +308,7 @@ def _fanned_out(share, jobs: list, w: int) -> list:
             payload = pipe.read()   # before the wait: a child blocks on a full pipe
             status = os.waitpid(pid, 0)[1]
             live.remove(pid)
-            if not payload:
+            if status != 0:
                 raise RuntimeError(f"sweep worker {pid} sent no runs (wait status {status})")
             values[k::w] = pickle.loads(payload)
         return values
@@ -350,9 +352,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     w = _workers(len(jobs), cfg.epochs)
     if w > 1:
         _ = structure.propagated_features   # built once, before the fork
-        values = _fanned_out(lambda share: _share(train, share, Exception), jobs, w)
-    else:
-        values = _share(train, jobs, ())
+    # one process raises an unexpected exception at once; under workers it
+    # is its run's value, sent back and raised below in job order
+    caught = Exception if w > 1 else ()
+    values = _fanned_out(lambda share: _share(train, share, caught), jobs, w)
     # the runs the one-process order reaches: each change's, to its first failure
     for (change, _), value in zip(jobs, values):
         if runs[change] and isinstance(runs[change][-1], str):

@@ -141,13 +141,21 @@ def load_csv(feature_paths: list, label_path) -> Dataset:
     return CsvInputs(feature_paths, label_path).dataset()
 
 
+def _text(path, content: bytes) -> str:
+    """`content` decoded as UTF-8 past any byte-order mark, or a DataError naming `path`."""
+    try:
+        return content.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_feature_csv(path, content: bytes) -> tuple[list[str], np.ndarray]:
     """The ids and the value matrix of a modality CSV's bytes, decoded as
     UTF-8 past any byte-order mark: the ids and field counts from the lines,
     the values by one `np.loadtxt`. Blank lines are skipped, as the csv
     module skips them; a file holding a quote character is split into
     fields by the csv module."""
-    text = content.decode("utf-8-sig")
+    text = _text(path, content)
     # (line number, id, field count, line whose fields after the first are the values)
     if '"' in text:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -205,7 +213,7 @@ def write_text_atomic(path, text: str) -> None:
 def _read_labels_csv(path, content: bytes) -> dict:
     """id -> label of a labels CSV's bytes, decoded as UTF-8 past any
     byte-order mark."""
-    rows = [r for r in csv.reader(io.StringIO(content.decode("utf-8-sig"), newline="")) if r]
+    rows = [r for r in csv.reader(io.StringIO(_text(path, content), newline="")) if r]
     if len(rows) < 2 or [c.strip().lower() for c in rows[0][:2]] != ["id", "label"]:
         raise DataError(f"{path}: expected 'id,label' header")
     out = {}

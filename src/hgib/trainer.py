@@ -216,14 +216,14 @@ def _decoded(text, dtype: str) -> np.ndarray:
 
 def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
     """Write, beside the checkpoint file of a training on `structure` under
-    `cfg`, its run record: the config, the class names, the input width,
-    the fingerprint of the normalized input, the hypergraph's member lists
-    (`_MEMBERS`), the normalized input itself (the modality widths, the
-    fused features as base64 `<f8` and the labels as base64 `<i4`), the
-    sha256 of the CSV files it was read from (None for other input) and
-    the sha256 of the checkpoint's bytes. It is compact, timestamp-free
-    JSON, written atomically. A graph of 2**31 or more memberships, which
-    int32 cannot index, is a DataError."""
+    `cfg`, its run record: the config, the class names, the fingerprint of
+    the normalized input, the hypergraph's member lists (`_MEMBERS`), the
+    normalized input itself (the modality widths, the fused features as
+    base64 `<f8` and the labels as base64 `<i4`, whose count is the vertex
+    count), the sha256 of the CSV files it was read from (None for other
+    input) and the sha256 of the checkpoint's bytes. It is compact,
+    timestamp-free JSON, written atomically. A graph of 2**31 or more
+    memberships, which int32 cannot index, is a DataError."""
     g = structure.graph
     if g.indices.size >= 2**31:
         raise DataError(f"the graph's {g.indices.size} memberships do not fit a run record's int32")
@@ -231,12 +231,8 @@ def save_record(structure: Structure, cfg: TrainConfig, checkpoint) -> None:
     record = {
         "config": cfg.to_dict(),
         "class_names": dataset.class_names,
-        "in_dim": structure.features.shape[1],
         "fingerprint": _fingerprint(dataset, structure.features.data),
-        "graph": {
-            "num_vertices": g.num_vertices,
-            **{m: _b64(getattr(g, m), "<i4") for m in _MEMBERS},
-        },
+        "graph": {m: _b64(getattr(g, m), "<i4") for m in _MEMBERS},
         "dataset": {
             "widths": [X.shape[1] for X in dataset.modalities],
             "features": _b64(structure.features.data, "<f8"),
@@ -252,39 +248,40 @@ def load_structure(checkpoint, inputs: CsvInputs | Dataset, cfg: TrainConfig) ->
     """The structure of the run whose record is beside `checkpoint`, for
     the call's `inputs` under `cfg`: the normalized dataset and the
     hypergraph from the record, so no kNN graph is built and no CSV file is
-    parsed. A missing or malformed record (its arrays must reproduce its
-    fingerprint), a checkpoint other than the one the record was written
-    with (checked first), a compared config field that differs from the
-    run's (_COMPARED), another input or a graph that leaves a vertex in no
-    hyperedge is a DataError, raised before any structure is built. The
-    input is checked last: CSV files whose bytes hash to the record's
+    parsed. It reads the record first: a missing record, or a malformed one
+    (a field it cannot decode, member lists `Hypergraph.from_members`
+    refuses, arrays that do not reproduce the fingerprint, a vertex in no
+    hyperedge), is a DataError. Then it compares the record with the call:
+    a checkpoint other than the one the record was written with, a compared
+    config field that differs from the run's (_COMPARED), then another
+    input, is a DataError. CSV files whose bytes hash to the record's
     `inputs_sha256` are the run's; other files, and a synthetic dataset,
-    are parsed, normalized and compared by their fingerprint."""
+    are parsed, normalized and compared by their fingerprint. Keys the
+    record holds beyond these are ignored."""
     path = _record_path(checkpoint)
     try:
         with open(path) as fh:
             record = json.load(fh)
+        data = record["dataset"]
+        labels = _decoded(data["labels"], "<i4")
+        features = Tensor(_decoded(data["features"], "<f8").reshape(labels.size, -1))
+        modalities = np.split(features.data, np.cumsum(data["widths"])[:-1], axis=1)
+        dataset = Dataset(modalities, labels, record["class_names"], record["inputs_sha256"])
+        graph = Hypergraph.from_members(dataset.n, *(_decoded(record["graph"][m], "<i4") for m in _MEMBERS))
+        ran = {name: record["config"][name] for name in _COMPARED}
+        stored, checkpoint_sha256 = record["fingerprint"], record["checkpoint_sha256"]
     except FileNotFoundError as exc:
         raise DataError(
             f"no run record at {path}; a checkpoint written without one must be retrained"
         ) from exc
-    except ValueError as exc:
-        raise DataError(f"malformed run record {path}: {exc}") from exc
-    try:
-        checkpoint_sha256, inputs_sha256 = record["checkpoint_sha256"], record["inputs_sha256"]
-        run_cfg, stored, graph, data = (
-            record["config"], record["fingerprint"], record["graph"], record["dataset"]
-        )
-        ran = {name: run_cfg[name] for name in _COMPARED}
-        members = graph["num_vertices"], *(_decoded(graph[m], "<i4") for m in _MEMBERS)
-        labels = _decoded(data["labels"], "<i4")
-        fused = _decoded(data["features"], "<f8").reshape(labels.size, -1)
-        modalities = np.split(fused, np.cumsum(data["widths"])[:-1], axis=1)
-        dataset = Dataset(modalities, labels, record["class_names"], inputs_sha256)
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, DataError, StructureError) as exc:
         raise DataError(f"malformed run record {path}: {exc!r}") from exc
-    if stored != _fingerprint(dataset, fused):
+    if stored != _fingerprint(dataset, features.data):
         raise DataError(f"malformed run record {path}: its dataset does not reproduce its fingerprint")
+    # checked here, not when P is built, which a drop attack never does
+    if graph.vertex_degrees.min() < 1:
+        vertex = np.argmin(graph.vertex_degrees)
+        raise DataError(f"malformed run record {path}: vertex {vertex} is in no hyperedge")
     if checkpoint_sha256 != _sha256(checkpoint):
         raise DataError(
             f"{checkpoint} is not the checkpoint its run record was written with: "
@@ -295,21 +292,11 @@ def load_structure(checkpoint, inputs: CsvInputs | Dataset, cfg: TrainConfig) ->
             raise DataError(
                 f"checkpoint's run has {name}={value!r}, this call {name}={getattr(cfg, name)!r}"
             )
-    if not (isinstance(inputs, CsvInputs) and inputs.sha256 == inputs_sha256):
+    if not (isinstance(inputs, CsvInputs) and inputs.sha256 == dataset.inputs_sha256):
         given = normalize(inputs.dataset() if isinstance(inputs, CsvInputs) else inputs)
         if stored != _fingerprint(given, np.hstack(given.modalities)):
             raise DataError("checkpoint's run had other input data: its fingerprint differs")
-    if members[0] != dataset.n:
-        raise DataError(f"malformed run record {path}: its graph has {members[0]!r} vertices")
-    try:
-        graph = Hypergraph.from_members(*members)
-    except StructureError as exc:
-        raise DataError(f"malformed run record {path}: {exc}") from exc
-    # checked here, not when P is built, which a drop attack never does
-    if graph.vertex_degrees.min() < 1:
-        vertex = np.argmin(graph.vertex_degrees)
-        raise DataError(f"malformed run record {path}: vertex {vertex} is in no hyperedge")
-    return Structure(dataset, cfg.k_neighbors, Tensor(fused), graph)
+    return Structure(dataset, cfg.k_neighbors, features, graph)
 
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:

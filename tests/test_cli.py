@@ -167,7 +167,8 @@ class TestTrain:
         record = json.loads((out / "checkpoint.meta.json").read_text())
         jsonschema.validate(record, load_schema("checkpoint.meta.schema.json"))
         assert record["config"] == run_doc["config"]
-        assert record["in_dim"] == checkpoint[0]["rows"] == sum(record["dataset"]["widths"])
+        # the widths sum to the first layer's input width, which JSON Schema cannot state
+        assert checkpoint[0]["rows"] == sum(record["dataset"]["widths"])
         assert record["inputs_sha256"] is None
 
     def test_class_absent_from_test_split_exit_2_before_the_build(self, tmp_path, monkeypatch, capsys):
@@ -1194,6 +1195,17 @@ class TestSweepFanOut:
         assert "in failing_train" in "".join(raised.value.__notes__)
         assert not (tmp_path / "out" / "table.json").exists()
 
+    def test_exception_in_one_process_is_raised_at_once(self, tmp_path, synth_cfg, monkeypatch):
+        # at one worker the first run's exception stops the sweep: no other
+        # change's run is trained before it is raised
+        _fail_at(monkeypatch, {(1.0, 1)}, RuntimeError("bug at seed 1"))
+        calls = {"train": 0}
+        monkeypatch.setattr(hgib.trainer, "train", counted(calls, "train", hgib.trainer.train))
+        monkeypatch.setattr(hgib.cli, "_workers", lambda jobs, epochs: 1)
+        with pytest.raises(RuntimeError, match="bug at seed 1"):
+            self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
+        assert calls == {"train": 1}
+
     @pytest.mark.usefixtures("two_processes")
     def test_exception_past_a_failure_is_not_raised(self, tmp_path, synth_cfg, monkeypatch):
         # seed 1 fails in the parent, so one process would never reach the
@@ -1225,6 +1237,34 @@ class TestSweepFanOut:
 
         monkeypatch.setattr(hgib.trainer, "train", dying_train)
         with pytest.raises(RuntimeError, match="sent no runs"):
+            self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
+
+    @pytest.mark.usefixtures("two_processes")
+    def test_child_killed_while_writing_is_an_error(self, tmp_path, synth_cfg, monkeypatch):
+        # as under the OOM killer: the child writes half its payload, then dies
+        parent, fdopen = os.getpid(), os.fdopen
+
+        class HalfWriter:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, payload):
+                os.write(self.fd, payload[: len(payload) // 2])
+                os._exit(9)
+
+        def half_in_the_child(fd, mode="r", *args, **kwargs):
+            if os.getpid() != parent and mode == "wb":
+                return HalfWriter(fd)
+            return fdopen(fd, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", half_in_the_child)
+        with pytest.raises(RuntimeError, match=r"sweep worker \d+ sent no runs \(wait status 2304\)"):
             self.sweep(tmp_path, synth_cfg, "out", *self.LABELS)
 
     @pytest.mark.usefixtures("two_processes")
@@ -1330,6 +1370,11 @@ def _members(record, name):
     return np.frombuffer(base64.b64decode(record["graph"][name], validate=True), "<i4")
 
 
+def _vertex_count(record):
+    """A run record's vertex count: the number of its labels."""
+    return len(base64.b64decode(record["dataset"]["labels"], validate=True)) // 4
+
+
 def _edit_features(record, edit):
     """Replace the bytes of a run record's features blob by edit(bytes)."""
     data = base64.b64decode(record["dataset"]["features"], validate=True)
@@ -1379,7 +1424,7 @@ class TestCheckpointKnowsItsRun:
         assert main(["train", *data, "--epochs", "1", "--k", "5", "--out", str(out)]) == 0
         record = json.loads((out / "checkpoint.meta.json").read_text())
         _, fresh = hgib.data.fuse_and_build(hgib.data.normalize(dataset), 5)
-        assert record["graph"]["num_vertices"] == fresh.num_vertices
+        assert _vertex_count(record) == fresh.num_vertices
         assert np.array_equal(_members(record, "indptr"), fresh.indptr)
         assert np.array_equal(_members(record, "indices"), fresh.indices)
 
@@ -1445,6 +1490,27 @@ class TestCheckpointKnowsItsRun:
         argv = ["eval", "--synth", "default", "--epochs", "1", "--k", "5"]
         assert main([*argv, "--checkpoint", str(out / "checkpoint.json"), "--out", str(tmp_path / "eval")]) == 0
         assert (tmp_path / "eval" / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("layout", ["with-copies", "without-copies"])
+    def test_record_layouts_load(self, tmp_path, csv_run, knn_calls, layout):
+        # records written before the vertex count and input width were left
+        # to the labels and widths hold them as `graph.num_vertices` and
+        # `in_dim`: such a record still loads, and so does one without them
+        run, data = csv_run
+        record = json.loads((run / "checkpoint.meta.json").read_text())
+        record.pop("in_dim", None)
+        record["graph"].pop("num_vertices", None)
+        if layout == "with-copies":
+            record["in_dim"] = sum(record["dataset"]["widths"])
+            record["graph"]["num_vertices"] = _vertex_count(record)
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        (edited / "checkpoint.json").write_bytes((run / "checkpoint.json").read_bytes())
+        (edited / "checkpoint.meta.json").write_text(json.dumps(record))
+        argv = ["eval", *self.checkpoint_args(edited, data, "--epochs", "2", "--out", str(tmp_path / "out"))]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "metrics.json").read_bytes() == (run / "metrics.json").read_bytes()
+        assert knn_calls == {"knn": 0}
 
     @pytest.mark.parametrize("command", [["eval"], ["attack", "--attack", "drop"]], ids=["eval", "attack"])
     @pytest.mark.parametrize(
@@ -1526,6 +1592,25 @@ class TestCheckpointKnowsItsRun:
         assert knn_calls == {"knn": 0}
         assert not (tmp_path / "out" / "metrics.json").exists()
 
+    def test_malformed_record_refused_before_the_checkpoint_hash(self, tmp_path, csv_run, capsys):
+        # the record is read before it is compared with the call: a record
+        # whose graph leaves a vertex in no hyperedge, beside the run's
+        # checkpoint written in other bytes, is malformed first
+        run, data = csv_run
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        checkpoint = json.loads((run / "checkpoint.json").read_text())
+        (mixed / "checkpoint.json").write_text(json.dumps(checkpoint, indent=1))
+        record = json.loads((run / "checkpoint.meta.json").read_text())
+        n = _vertex_count(record)
+        record["graph"].update({
+            name: base64.b64encode(members.astype("<i4")).decode()
+            for name, members in (("indptr", np.arange(n + 1)), ("indices", np.zeros(n)))
+        })
+        (mixed / "checkpoint.meta.json").write_text(json.dumps(record))
+        assert main(["eval", *self.checkpoint_args(mixed, data, "--out", str(tmp_path / "out"))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed run record {mixed / 'checkpoint.meta.json'}: ")
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -1533,7 +1618,6 @@ class TestCheckpointKnowsItsRun:
             lambda r: r.pop("graph"),
             lambda r: r["config"].pop("seed"),
             lambda r: r["graph"].update(indices=[0.5] * len(r["graph"]["indices"])),
-            lambda r: r["graph"].update(num_vertices=r["graph"]["num_vertices"] + 1),
             # the member lists as JSON ints, as records were written before base64
             lambda r: r["graph"].update(
                 {name: _members(r, name).tolist() for name in ("indptr", "indices")}
@@ -1542,14 +1626,14 @@ class TestCheckpointKnowsItsRun:
             lambda r: r["graph"].update(indices=base64.b64encode(b"\0" * 6).decode()),
             # the last edge's largest member becomes n
             lambda r: r["graph"].update(indices=base64.b64encode(
-                np.append(_members(r, "indices")[:-1], r["graph"]["num_vertices"]).astype("<i4")
+                np.append(_members(r, "indices")[:-1], _vertex_count(r)).astype("<i4")
             ).decode()),
             # n one-member edges, each holding vertex 0: vertex 1 is in none
             lambda r: r["graph"].update({
                 name: base64.b64encode(members.astype("<i4")).decode()
                 for name, members in (
-                    ("indptr", np.arange(r["graph"]["num_vertices"] + 1)),
-                    ("indices", np.zeros(r["graph"]["num_vertices"])),
+                    ("indptr", np.arange(_vertex_count(r) + 1)),
+                    ("indices", np.zeros(_vertex_count(r))),
                 )
             }),
             # records written before they held the normalized input
@@ -1564,8 +1648,8 @@ class TestCheckpointKnowsItsRun:
             ).decode()),
         ],
         ids=[
-            "no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "vertex-count",
-            "int-lists", "not-base64", "not-int32-bytes", "member-index-n", "uncovered-vertex",
+            "no-checkpoint-sha256", "no-graph", "no-seed", "float-members", "int-lists",
+            "not-base64", "not-int32-bytes", "member-index-n", "uncovered-vertex",
             "no-dataset", "no-inputs-sha256", "feature-value", "features-byte-short",
             "widths-reordered", "labels-rolled",
         ],

@@ -121,6 +121,17 @@ class TestLoadCsv:
         assert ds.class_names == ["AD", "NC"]
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
+    @pytest.mark.parametrize("encoded", ["features", "labels"])
+    def test_utf16_file_named(self, tmp_path, encoded):
+        # an Excel "Unicode text" export is UTF-16, which no UTF-8 decode reads
+        texts = {"features": "id,a\r\np1,1\r\np2,2\r\n", "labels": "id,label\r\np1,NC\r\np2,AD\r\n"}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes(text.encode("utf-16" if name == encoded else "utf-8"))
+        with pytest.raises(DataError, match=rf"{encoded}\.csv: not UTF-8 text \("):
+            load_csv([str(paths["features"])], str(paths["labels"]))
+
     def test_sha256_of_the_bytes_read(self, tmp_path):
         # each file's bytes, byte-order mark included, after its length: a
         # line moved from one file to the next gives another digest

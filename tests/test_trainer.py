@@ -312,10 +312,8 @@ class TestSaveRecord:
         record = {
             "config": cfg.to_dict(),
             "class_names": dataset.class_names,
-            "in_dim": structure.features.shape[1],
             "fingerprint": hgib.trainer._fingerprint(dataset, structure.features.data),
             "graph": {
-                "num_vertices": g.num_vertices,
                 "indptr": packed(g.indptr.tolist()),
                 "indices": packed(g.indices.tolist()),
             },
