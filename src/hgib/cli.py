@@ -242,20 +242,14 @@ def _workers(jobs: int, epochs: int) -> int:
     return max(1, min(jobs, cpus // _blas_threads(cpus)))
 
 
-def _share(train, jobs: list, caught) -> list:
+def _share(train, jobs: list) -> list:
     """train(change, seed) for each (change, seed) job, in order. A job
-    after its change's failure here is not run (None). An exception of a
-    type in `caught` is its job's value, and the next job runs."""
+    after its change's failure here, a row message, is not run (None)."""
     values, failed = [], set()
     for change, seed in jobs:
-        value = None
-        if change not in failed:
-            try:
-                value = train(change, seed)
-            except caught as exc:
-                value = exc
-            if isinstance(value, (str, Exception)):
-                failed.add(change)
+        value = None if change in failed else train(change, seed)
+        if isinstance(value, str):
+            failed.add(change)
         values.append(value)
     return values
 
@@ -263,22 +257,21 @@ def _share(train, jobs: list, caught) -> list:
 def _serve(share, jobs: list, fd: int, inherited: list):
     """In a forked child: write share(jobs) to `fd` as one pickle and leave
     through os._exit, so none of the parent's exit handlers, buffered
-    output or exception handlers run here. Never returns. The `inherited`
-    read ends are closed first: a child that held its own would block
-    forever on a full pipe that the parent no longer reads."""
+    output or exception handlers run here. Never returns. An exception is
+    printed with its traceback to stderr, and the child exits 1. The
+    `inherited` read ends are closed first: a child that held its own would
+    block forever on a full pipe that the parent no longer reads."""
     status = 1
     try:
         for pipe in inherited:
             pipe.close()
-        values = share(jobs)
-        for value in values:
-            if isinstance(value, Exception):   # a pickle drops the traceback: send it as a note
-                trace = "".join(traceback.format_exception(type(value), value, value.__traceback__))
-                value.__notes__ = [*getattr(value, "__notes__", []), f"in sweep worker {os.getpid()}:\n{trace}"]
-        payload = pickle.dumps(values, pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(share(jobs), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         status = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
     finally:
         os._exit(status)
 
@@ -352,17 +345,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     w = _workers(len(jobs), cfg.epochs)
     if w > 1:
         _ = structure.propagated_features   # built once, before the fork
-    # one process raises an unexpected exception at once; under workers it
-    # is its run's value, sent back and raised below in job order
-    caught = Exception if w > 1 else ()
-    values = _fanned_out(lambda share: _share(train, share, caught), jobs, w)
+    values = _fanned_out(lambda share: _share(train, share), jobs, w)
     # the runs the one-process order reaches: each change's, to its first failure
     for (change, _), value in zip(jobs, values):
-        if runs[change] and isinstance(runs[change][-1], str):
-            continue
-        if isinstance(value, Exception):
-            raise value
-        runs[change].append(value)
+        if not (runs[change] and isinstance(runs[change][-1], str)):
+            runs[change].append(value)
 
     def row(change: tuple, kind: str):
         """The row's metrics over its seeds, or the message of its first

@@ -68,6 +68,10 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if not self.dims or min(self.dims) < 1:
+            raise ValueError(f"dims must hold one or more widths of at least 1, got {self.dims!r}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
         if self.n < 2 * self.num_classes:
             raise ValueError("need at least two vertices per class")
         if self.separation < 0 or self.within_std <= 0:
@@ -103,7 +107,8 @@ class CsvInputs:
         return h.hexdigest()
 
     def dataset(self) -> Dataset:
-        """The files parsed, rows aligned by the `id` column. Label values
+        """The files parsed. Every modality file must list the same ids in
+        the same order; only the labels are looked up by id. Label values
         may be class names (mapped in sorted order) or integer indices."""
         *features, label_content = self._contents
         ids = None

@@ -109,11 +109,13 @@ def load_checkpoint(path) -> ModelState:
     """The saved state, checked to be a list of {name, rows, cols, values}
     objects naming theta_i and w_out_i for i < n, and to form a chain:
     theta_i's rows are the previous layer's width, and each w_out_i maps
-    theta_i's width to one common class count."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    theta_i's width to one common class count. Any other content is
+    DataError("malformed checkpoint <path>: ..."); a missing file is
+    FileNotFoundError."""
     tensors = {}
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         for entry in payload:
             arr = np.array(entry["values"], dtype=np.float64).reshape(entry["rows"], entry["cols"])
             tensors[entry["name"]] = Tensor(arr, requires_grad=True)
@@ -123,19 +125,19 @@ def load_checkpoint(path) -> ModelState:
             projectors=[tensors["w_out_%d" % i] for i in range(n_layers)],
         )
     except (TypeError, KeyError, ValueError) as exc:
-        raise DataError(f"malformed checkpoint: {exc!r}") from exc
+        raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc
     if n_layers == 0 or len(tensors) != 2 * n_layers:
-        raise DataError("malformed checkpoint")
+        raise DataError(f"malformed checkpoint {path}: its entries are not theta_i, w_out_i pairs for i < n")
     num_classes = state.projectors[0].shape[1]
     for i, (theta, w_out) in enumerate(zip(state.thetas, state.projectors)):
         if i and theta.shape[0] != state.thetas[i - 1].shape[1]:
             raise DataError(
-                f"checkpoint theta_{i} has {theta.shape[0]} rows, "
+                f"malformed checkpoint {path}: theta_{i} has {theta.shape[0]} rows, "
                 f"previous layer width is {state.thetas[i - 1].shape[1]}"
             )
         if w_out.shape != (theta.shape[1], num_classes):
             raise DataError(
-                f"checkpoint w_out_{i} is {w_out.shape}, "
+                f"malformed checkpoint {path}: w_out_{i} is {w_out.shape}, "
                 f"expected {(theta.shape[1], num_classes)}"
             )
     return state
