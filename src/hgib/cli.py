@@ -47,12 +47,15 @@ def _given(args: argparse.Namespace, cls) -> dict:
 
 def _config(cls, values, **given):
     """`cls` from a JSON object's values, each overridden by `given`; a JSON
-    list for a tuple field becomes a tuple. A value that is not an object,
-    an unknown key or a value of the wrong type is an HgibError."""
+    list for a tuple field becomes a tuple, and any other value there is an
+    HgibError naming the field. A value that is not an object, an unknown
+    key or a value of the wrong type is an HgibError."""
     try:
         values = {**values, **given}
         for f in fields(cls):
             if f.name in values and f.type.startswith("tuple"):
+                if not isinstance(values[f.name], list):
+                    raise HgibError(f"{f.name} must be {f.type}, got {values[f.name]!r}")
                 values[f.name] = tuple(values[f.name])
         return cls(**values)
     except TypeError as exc:

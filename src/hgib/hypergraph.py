@@ -100,7 +100,12 @@ class Hypergraph:
         each size's memberships are grouped by vertex once, and a block's
         counts come from one `bincount` over the member rows of the edges
         its vertices belong to, into a block-sized buffer. No array of all
-        the member pairs is formed."""
+        the member pairs is formed.
+
+        When every edge has one size (kNN graphs, their concatenation and
+        their edge subsets), a block is filled by looking its counts up in
+        a table of (c / size) / dv[u] per block row u and count c <= dv[u],
+        each entry computed with the same two divisions, so P keeps its bits."""
         if (self.vertex_degrees < 1).any():
             raise StructureError("vertex with no hyperedge membership")
         n = self.num_vertices
@@ -108,6 +113,7 @@ class Hypergraph:
         cuts = np.append(np.arange(0, n, rows), n)
         dv = self.vertex_degrees[:, None]
         sizes = np.flatnonzero(np.bincount(self.edge_degrees))   # distinct, ascending
+        width = int(self.vertex_degrees.max()) + 1   # a row's counts are at most its degree
         P = np.empty((n, n))
         for i, size in enumerate(sizes):
             starts = self.indptr[:-1][self.edge_degrees == size]
@@ -127,12 +133,17 @@ class Hypergraph:
                 counts = np.bincount(pairs.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
                 del pairs
                 block = P[lo:hi]
-                if i == 0:
-                    np.divide(counts, size, out=block)
+                if sizes.size == 1:
+                    table = (np.arange(width) / size) / dv[lo:hi]
+                    counts += (np.arange(hi - lo) * width)[:, None]
+                    np.take(table, counts, out=block, mode="clip")   # "raise" would buffer
                 else:
-                    block += counts / size
-                if i == sizes.size - 1:
-                    block /= dv[lo:hi]
+                    if i == 0:
+                        np.divide(counts, size, out=block)
+                    else:
+                        block += counts / size
+                    if i == sizes.size - 1:
+                        block /= dv[lo:hi]
                 del counts   # so that no two blocks' buffers are held at once
         P.setflags(write=False)
         return P

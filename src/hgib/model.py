@@ -51,7 +51,7 @@ def init_params(
 
 
 def hgnnp_layer_forward(
-    x: Tensor, g: Hypergraph, theta: Tensor, px: Tensor | None = None
+    x: Tensor, g: Hypergraph, theta: Tensor, px: Tensor | None = None, rows: np.ndarray | None = None
 ) -> Tensor:
     """One spatial convolution: mean vertex->hyperedge, mean hyperedge->vertex,
     linear map, ReLU. Equivalent to relu(Dv^-1 H De^-1 H^T X Theta); the
@@ -60,7 +60,11 @@ def hgnnp_layer_forward(
 
     `px` is P @ x when the caller already holds it: a constant first-layer
     input is propagated once (`trainer.Structure.propagated_features`), not
-    on every pass."""
+    on every pass.
+
+    `rows`, an index array, limits the output to those vertices: x is
+    propagated through those rows of P, gathered once, or a given `px`,
+    which is then a constant, is read at those rows."""
     if x.shape[0] != g.num_vertices:
         raise ShapeError(
             f"feature rows {x.shape[0]} != vertex count {g.num_vertices}"
@@ -68,21 +72,29 @@ def hgnnp_layer_forward(
     if theta.shape[0] != x.shape[1]:
         raise ShapeError(f"theta rows {theta.shape[0]} != feature dim {x.shape[1]}")
     if px is None:
-        px = ad.propagate(g.propagation(), x)
+        p = g.propagation()
+        px = ad.propagate(p if rows is None else p[rows], x)
     elif px.shape != x.shape:
         raise ShapeError(f"propagated input {px.shape} != feature shape {x.shape}")
+    elif rows is not None:
+        px = Tensor(px.data[rows])
     return ad.relu_matmul(px, theta)
 
 
 def forward(
-    x: Tensor, g: Hypergraph, state: ModelState, px: Tensor | None = None
+    x: Tensor, g: Hypergraph, state: ModelState, px: Tensor | None = None, rows: np.ndarray | None = None
 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
     """Full stack. Returns final-layer logits plus (activation, logits) per
-    layer; `px` is P @ x if precomputed, as in `hgnnp_layer_forward`."""
+    layer; `px` is P @ x if precomputed, as in `hgnnp_layer_forward`.
+
+    With `rows`, the last layer and its projector run on those vertices
+    only, so its pair and the logits hold those rows; every earlier layer
+    runs on all vertices, which their neighbourhoods read."""
     per_layer = []
     z = x
+    last = len(state.thetas) - 1
     for i, (theta, w_out) in enumerate(zip(state.thetas, state.projectors)):
-        z = hgnnp_layer_forward(z, g, theta, px if i == 0 else None)
+        z = hgnnp_layer_forward(z, g, theta, px if i == 0 else None, rows if i == last else None)
         per_layer.append((z, ad.matmul(z, w_out)))
     return per_layer[-1][1], per_layer
 

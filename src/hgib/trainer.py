@@ -300,11 +300,14 @@ def load_structure(checkpoint, inputs: CsvInputs | Dataset, cfg: TrainConfig) ->
 
 
 def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport:
-    """Metrics of the model's softmax output on the held-out test vertices."""
+    """Metrics of the model's softmax output on the held-out test vertices.
+    The last layer, its projector and the softmax run on the test rows only."""
     s = prepared.structure
-    logits, _ = model.forward(s.features, s.graph, state, s.propagated_features)
+    test = np.flatnonzero(prepared.test_mask)
+    logits, _ = model.forward(s.features, s.graph, state, s.propagated_features, rows=test)
     e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-    return metrics.evaluate(e / e.sum(axis=1, keepdims=True), s.dataset.labels, prepared.test_mask)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return metrics.evaluate(probs, s.dataset.labels[test], np.ones(test.size, dtype=bool))
 
 
 def train(data: Dataset | Structure, cfg: TrainConfig) -> RunRecord:

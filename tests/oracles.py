@@ -134,6 +134,23 @@ def propagation_by_size_oracle(H):
     return P / H.sum(axis=1)[:, None]
 
 
+def propagation_per_entry_oracle(H):
+    """P[u, w] = (c / |e|) / dv[u] for a hypergraph whose edges all have
+    one size |e|, one entry at a time: c counts the edges holding both u
+    and w, dv[u] those holding u."""
+    H = np.asarray(H, dtype=float)
+    sizes = {int(s) for s in H.sum(axis=0)}
+    assert len(sizes) == 1, f"edges of several sizes: {sorted(sizes)}"
+    (size,) = sizes
+    edges_of = [set(np.flatnonzero(row)) for row in H]
+    n = H.shape[0]
+    P = np.empty((n, n))
+    for u in range(n):
+        for w in range(n):
+            P[u, w] = (len(edges_of[u] & edges_of[w]) / size) / len(edges_of[u])
+    return P
+
+
 def auc_trapezoid(scores, labels):
     """Area under the ROC curve by trapezoidal integration over all
     score thresholds (ties grouped)."""

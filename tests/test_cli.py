@@ -126,8 +126,12 @@ class TestSynth:
 
     # configs of the right types that no dataset can be generated from
     UNGENERABLE = [{"dims": []}, {"dims": [0]}, {"dims": [-1]}, {"num_classes": 1}]
+    # a tuple field given a value that is not a list
+    NOT_LISTS = [{"dims": 5}, {"dims": "12"}]
 
-    @pytest.mark.parametrize("config", [{"nope": 1}, {"n": "x"}, {"n": 60.5}, {"dims": 5}, [1, 2], *UNGENERABLE])
+    @pytest.mark.parametrize(
+        "config", [{"nope": 1}, {"n": "x"}, {"n": 60.5}, NOT_LISTS[0], [1, 2], *UNGENERABLE, NOT_LISTS[1]]
+    )
     @pytest.mark.parametrize("command", ["train", "synth"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, command):
         path = tmp_path / "s.json"
@@ -136,7 +140,7 @@ class TestSynth:
         assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if config in self.UNGENERABLE:
+        if config in self.UNGENERABLE + self.NOT_LISTS:
             assert err.startswith(f"error: {next(iter(config))} "), err   # names the field
 
     def test_roundtrip_into_train(self, tmp_path, synth_cfg):
@@ -380,6 +384,7 @@ class TestTrain:
         [
             {"loss": {"lambda": 1.0}}, {"epochs": "ten"}, {"hidden_dims": 64}, {"loss": 5}, [1, 2],
             {"epochs": 2.5}, {"lr_initial": "x", "epochs": 2}, {"epochs": True}, {"hidden_dims": [64.5]},
+            {"hidden_dims": "64"},
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, synth_cfg, capsys, config):
@@ -389,7 +394,10 @@ class TestTrain:
             ["train", "--synth", synth_cfg, "--config", str(cfg), "--out", str(tmp_path)]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if isinstance(config, dict) and "hidden_dims" in config:
+            assert err.startswith("error: hidden_dims "), err   # names the field
 
     def test_artifacts_written_atomically(self, tmp_path, synth_cfg, replaced):
         out = tmp_path / "run"

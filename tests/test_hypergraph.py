@@ -10,7 +10,12 @@ from hgib.hypergraph import Hypergraph, build_knn_hyperedges, concat_hypergraphs
 from hgib.perturb import drop_hyperedges
 
 from conftest import random_hypergraph
-from oracles import knn_incidence_oracle, propagation_by_size_oracle, propagation_oracle
+from oracles import (
+    knn_incidence_oracle,
+    propagation_by_size_oracle,
+    propagation_oracle,
+    propagation_per_entry_oracle,
+)
 
 # (seed, n, k) with 0 <= k < n
 knn_cases = st.integers(2, 40).flatmap(
@@ -243,6 +248,19 @@ class TestPropagation:
         if kind == "ragged":
             assert np.unique(g.edge_degrees).size > 5
         assert np.array_equal(g.propagation(), propagation_by_size_oracle(g.incidence))
+
+    @pytest.mark.parametrize("kind", ["knn", "concatenated", "dropped"])
+    @pytest.mark.parametrize("chunk", [1, 37 * 5, 37 * 37])
+    def test_one_edge_size_equals_per_entry_oracle(self, monkeypatch, kind, chunk):
+        # these graphs' blocks are filled by table lookup
+        monkeypatch.setattr(hgib.hypergraph, "_P_CHUNK", chunk)
+        rng = np.random.default_rng(31)
+        graphs = [build_knn_hyperedges(rng.normal(size=(37, 3)), 4) for _ in range(3)]
+        g = graphs[0] if kind == "knn" else concat_hypergraphs(graphs)
+        if kind == "dropped":
+            g = drop_hyperedges(g, 0.3, seed=4)
+        assert np.unique(g.edge_degrees).size == 1
+        assert np.array_equal(g.propagation(), propagation_per_entry_oracle(g.incidence))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 15))

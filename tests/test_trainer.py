@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hgib.metrics
+import hgib.model
 import hgib.trainer
 from hgib import (
     AttackConfig,
@@ -25,7 +26,7 @@ from hgib.autodiff import propagate
 from hgib.data import normalize
 from hgib.errors import DataError
 from hgib.hypergraph import Hypergraph
-from hgib.perturb import drop_hyperedges
+from hgib.perturb import attacked, drop_hyperedges
 from hgib.trainer import aggregate_metrics, build, evaluate_state, prepare
 
 
@@ -490,6 +491,43 @@ class TestEvaluateState:
         probs = evaluated_probs[-1]
         assert np.isfinite(probs).all() and probs.min() >= 0.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestEvaluateOnTestRows:
+    """`evaluate_state` runs the last layer on the test rows only. At
+    n = 300 the propagation's inner size is above 256, where OpenBLAS sums
+    it in two blocks. A test row among P's last n mod 8 rows, which the
+    full product computes with a remainder kernel outside its first block
+    of rows and the test rows' smaller product inside it, can differ in
+    the last bit (row 296 for hidden (64, 64)), so the logits are compared
+    to within rounding and the reports exactly."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(SynthConfig(n=300, seed=3))
+
+    @pytest.mark.parametrize("hidden_dims", [(64,), (64, 64), (32, 32, 32)])
+    @pytest.mark.parametrize("kind", ["none", "drop", "noise"])
+    def test_equals_full_forward_masked(self, dataset, monkeypatch, hidden_dims, kind):
+        record = train(dataset, TrainConfig(epochs=3, lr_initial=1e-3, k_neighbors=10, hidden_dims=hidden_dims))
+        prepared = attacked(record.prepared, AttackConfig(kind=kind))
+        s, state = prepared.structure, record.model_state
+        full, _ = hgib.model.forward(s.features, s.graph, state, s.propagated_features)
+        e = np.exp(full.data - full.data.max(axis=1, keepdims=True))
+        expected = hgib.metrics.evaluate(e / e.sum(axis=1, keepdims=True), s.dataset.labels, prepared.test_mask)
+
+        final = []
+        forward = hgib.model.forward
+
+        def recording(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            final.append(out[0].data)
+            return out
+
+        monkeypatch.setattr(hgib.model, "forward", recording)
+        report = evaluate_state(prepared, state)
+        np.testing.assert_allclose(final[-1], full.data[prepared.test_mask], rtol=1e-13, atol=1e-15)
+        assert json.dumps(report.__dict__) == json.dumps(expected.__dict__)
 
 
 class TestMultiSeed:
