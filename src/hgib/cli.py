@@ -23,7 +23,7 @@ from pathlib import Path
 from . import model, perturb, trainer
 from .autodiff import Tensor
 from .data import CsvInputs, Dataset, SynthConfig, generate_synthetic, load_csv, write_text_atomic
-from .errors import HgibError
+from .errors import DataError, HgibError
 from .hypergraph import Hypergraph
 from .losses import LossConfig
 from .metrics import MetricsReport
@@ -35,8 +35,16 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_json(path: str) -> dict:
+    """The JSON object in the file at `path`. Text that does not decode or
+    parse, or a value that is not an object, is a DataError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            value = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: must hold a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _given(args: argparse.Namespace, cls) -> dict:
@@ -65,8 +73,6 @@ def _config(cls, values, **given):
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """The --config file's values, each overridden by its flag if given."""
     file_cfg = _read_json(args.config) if args.config else {}
-    if not isinstance(file_cfg, dict):
-        raise HgibError("--config must hold a JSON object")
     loss = _config(LossConfig, file_cfg.get("loss", {}), **_given(args, LossConfig))
     return _config(TrainConfig, file_cfg, **_given(args, TrainConfig), loss=loss)
 
@@ -337,8 +343,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     built = not isinstance(structure, str)
     # each distinct change trains its seeds in order, to its first failure,
     # while the clean P exists; a run is (masks, parameter arrays) or its
-    # row message. The runs are dealt round-robin over `w` processes, which
-    # share the structure, P and P·X built here before the fork
+    # row message. `row` stops at a change's first message, so the runs
+    # after it (None where `_share` skipped one) are never read. The runs
+    # are dealt round-robin over `w` processes, which share the structure,
+    # P and P·X built here before the fork
     runs = {change: [] if built else [structure] for _, change, _ in plan}
     jobs = [(change, seed) for change in runs for seed in args.seeds] if built else []
 
@@ -349,10 +357,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if w > 1:
         _ = structure.propagated_features   # built once, before the fork
     values = _fanned_out(lambda share: _share(train, share), jobs, w)
-    # the runs the one-process order reaches: each change's, to its first failure
     for (change, _), value in zip(jobs, values):
-        if not (runs[change] and isinstance(runs[change][-1], str)):
-            runs[change].append(value)
+        runs[change].append(value)
 
     def row(change: tuple, kind: str):
         """The row's metrics over its seeds, or the message of its first

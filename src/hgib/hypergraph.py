@@ -92,20 +92,16 @@ class Hypergraph:
     @cached_property
     def _propagation(self) -> np.ndarray:
         """P[u, w] = sum over the edges e holding u and w of 1 / |e|, over dv[u]:
-        for each edge size (a kNN graph has one), integer co-membership
-        counts divided by that size, summed over the sizes in ascending
-        order, then divided by dv.
+        for each edge size (a kNN graph has one), the integer co-membership
+        count c of that size's edges, as (c / size) / dv[u], summed over the
+        sizes in ascending order.
 
         P is the one n x n array. It is filled a block of rows at a time:
         each size's memberships are grouped by vertex once, and a block's
         counts come from one `bincount` over the member rows of the edges
         its vertices belong to, into a block-sized buffer. No array of all
-        the member pairs is formed.
-
-        When every edge has one size (kNN graphs, their concatenation and
-        their edge subsets), a block is filled by looking its counts up in
-        a table of (c / size) / dv[u] per block row u and count c <= dv[u],
-        each entry computed with the same two divisions, so P keeps its bits."""
+        the member pairs is formed. The counts are looked up in a table of
+        (c / size) / dv[u] per block row u and count c <= dv[u]."""
         if (self.vertex_degrees < 1).any():
             raise StructureError("vertex with no hyperedge membership")
         n = self.num_vertices
@@ -132,18 +128,12 @@ class Hypergraph:
                 pairs += ((vertices[a:b] - lo) * n)[:, None]
                 counts = np.bincount(pairs.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
                 del pairs
-                block = P[lo:hi]
-                if sizes.size == 1:
-                    table = (np.arange(width) / size) / dv[lo:hi]
-                    counts += (np.arange(hi - lo) * width)[:, None]
-                    np.take(table, counts, out=block, mode="clip")   # "raise" would buffer
+                table = (np.arange(width) / size) / dv[lo:hi]
+                counts += (np.arange(hi - lo) * width)[:, None]   # row u's counts index its own table row
+                if i == 0:
+                    np.take(table, counts, out=P[lo:hi], mode="clip")   # "raise" would buffer
                 else:
-                    if i == 0:
-                        np.divide(counts, size, out=block)
-                    else:
-                        block += counts / size
-                    if i == sizes.size - 1:
-                        block /= dv[lo:hi]
+                    P[lo:hi] += np.take(table, counts, mode="clip")
                 del counts   # so that no two blocks' buffers are held at once
         P.setflags(write=False)
         return P

@@ -39,18 +39,16 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return (last - (counts - 1) / 2.0)[group]
 
 
-def evaluate(probs, labels, mask) -> MetricsReport:
-    """Macro one-vs-rest metrics over the masked vertices.
+def evaluate(probs, labels) -> MetricsReport:
+    """Macro one-vs-rest metrics over the given rows: `probs[i]` is row i's
+    class probabilities, `labels[i]` its class.
 
     Classes with a zero PPV/NPV denominator are excluded from the macro
     mean with a warning.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    p = probs[mask]
-    y = labels[mask]
-    num_classes = probs.shape[1]
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=int).reshape(-1)
+    num_classes = p.shape[1]
     if (np.bincount(y, minlength=num_classes)[:num_classes] == 0).any():
         raise MetricError("a class is absent from the evaluation mask")
 

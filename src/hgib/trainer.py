@@ -307,7 +307,7 @@ def evaluate_state(prepared: Prepared, state: model.ModelState) -> MetricsReport
     logits, _ = model.forward(s.features, s.graph, state, s.propagated_features, rows=test)
     e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    return metrics.evaluate(probs, s.dataset.labels[test], np.ones(test.size, dtype=bool))
+    return metrics.evaluate(probs, s.dataset.labels[test])
 
 
 def train(data: Dataset | Structure, cfg: TrainConfig) -> RunRecord:

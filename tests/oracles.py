@@ -124,14 +124,15 @@ def propagation_oracle(H):
 def propagation_by_size_oracle(H):
     """Dv^-1 H De^-1 H^T in the library's operation order: for each edge
     size in ascending order, the co-membership counts of that size's edges
-    (H_s H_s^T, exact integers) over the size, summed; then over dv."""
+    (H_s H_s^T, exact integers) over the size, then over dv, summed."""
     H = np.asarray(H, dtype=float)
     sizes = H.sum(axis=0)
+    dv = H.sum(axis=1)[:, None]
     P = np.zeros((H.shape[0], H.shape[0]))
     for size in np.unique(sizes):
         H_s = H[:, sizes == size]
-        P += (H_s @ H_s.T) / size
-    return P / H.sum(axis=1)[:, None]
+        P += ((H_s @ H_s.T) / size) / dv
+    return P
 
 
 def propagation_per_entry_oracle(H):

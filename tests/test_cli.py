@@ -399,6 +399,19 @@ class TestTrain:
         if isinstance(config, dict) and "hidden_dims" in config:
             assert err.startswith("error: hidden_dims "), err   # names the field
 
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"], ids=["not-json", "list"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["train", "--synth", "default", "--config"], ["train", "--synth"], ["synth", "--synth-config"]],
+        ids=["train-config", "train-synth", "synth-config"],
+    )
+    def test_bad_json_file_named(self, tmp_path, capsys, flags, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main([*flags, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), err
+
     def test_artifacts_written_atomically(self, tmp_path, synth_cfg, replaced):
         out = tmp_path / "run"
         assert main(train_args(synth_cfg, out)) == 0

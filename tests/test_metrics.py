@@ -67,21 +67,21 @@ class TestEvaluate:
     def test_perfect_probabilities(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
         probs = np.eye(3)[labels]
-        report = evaluate(probs, labels, np.ones(6, dtype=bool))
+        report = evaluate(probs, labels)
         assert report.per_class_auc == [1.0, 1.0, 1.0]
         assert report.ppv_average == 100.0
         assert report.npv_average == 100.0
 
     def test_uniform_probabilities_auc_half(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        report = evaluate(np.full((6, 3), 1 / 3), labels, np.ones(6, dtype=bool))
+        report = evaluate(np.full((6, 3), 1 / 3), labels)
         assert report.per_class_auc == [0.5, 0.5, 0.5]
 
     def test_hand_confusion_fixture(self):
         # six samples, one vertex of class 0 predicted as class 1
         labels = np.array([0, 0, 1, 1, 2, 2])
         probs = np.eye(3)[[0, 1, 1, 1, 2, 2]]
-        report = evaluate(probs, labels, np.ones(6, dtype=bool))
+        report = evaluate(probs, labels)
         assert report.confusion == [[1, 1, 0], [0, 2, 0], [0, 0, 2]]
         # PPV: class0 1/1, class1 2/3, class2 2/2 -> mean 88.89%
         assert report.ppv_average == pytest.approx(100 * (1 + 2 / 3 + 1) / 3, abs=1e-9)
@@ -94,7 +94,7 @@ class TestEvaluate:
         probs[6:] = 1 / 3  # bad tail excluded by the mask
         mask = np.zeros(9, dtype=bool)
         mask[:6] = True
-        report = evaluate(probs, labels, mask)
+        report = evaluate(probs[mask], labels[mask])
         assert report.auc_average == 1.0
         assert int(np.sum(report.confusion)) == 6
 
@@ -102,16 +102,16 @@ class TestEvaluate:
         labels = np.array([0, 0, 1, 1])
         probs = np.full((4, 3), 1 / 3)
         with pytest.raises(MetricError, match="absent from the evaluation mask"):
-            evaluate(probs, labels, np.ones(4, dtype=bool))
-        # present in the labels, but masked out
+            evaluate(probs, labels)
+        # present in the labels, but not among the rows evaluated
         labels = np.array([0, 1, 2, 0, 1, 2])
         with pytest.raises(MetricError, match="absent from the evaluation mask"):
-            evaluate(np.full((6, 3), 1 / 3), labels, labels != 2)
+            evaluate(np.full((4, 3), 1 / 3), labels[labels != 2])
 
     def test_zero_denominator_excluded_with_warning(self):
         labels = np.array([0, 1, 2])
         probs = np.eye(3)[[0, 0, 0]].astype(float)  # everything predicted class 0
         with pytest.warns(UserWarning):
-            report = evaluate(probs, labels, np.ones(3, dtype=bool))
+            report = evaluate(probs, labels)
         # classes 1 and 2 have no positive predictions -> PPV from class 0 only
         assert report.ppv_average == pytest.approx(100.0 / 3.0, abs=1e-9)

@@ -468,9 +468,9 @@ class TestEvaluateState:
         seen = []
         evaluate = hgib.metrics.evaluate
 
-        def recording(probs, labels, mask):
+        def recording(probs, labels):
             seen.append(probs)
-            return evaluate(probs, labels, mask)
+            return evaluate(probs, labels)
 
         monkeypatch.setattr(hgib.metrics, "evaluate", recording)
         return seen
@@ -514,7 +514,8 @@ class TestEvaluateOnTestRows:
         s, state = prepared.structure, record.model_state
         full, _ = hgib.model.forward(s.features, s.graph, state, s.propagated_features)
         e = np.exp(full.data - full.data.max(axis=1, keepdims=True))
-        expected = hgib.metrics.evaluate(e / e.sum(axis=1, keepdims=True), s.dataset.labels, prepared.test_mask)
+        probs = e / e.sum(axis=1, keepdims=True)
+        expected = hgib.metrics.evaluate(probs[prepared.test_mask], s.dataset.labels[prepared.test_mask])
 
         final = []
         forward = hgib.model.forward
